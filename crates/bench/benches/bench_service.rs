@@ -8,7 +8,9 @@ use pcor_core::runner::find_random_outlier;
 use pcor_core::SamplingAlgorithm;
 use pcor_data::generator::{salary_dataset, SalaryConfig};
 use pcor_outlier::DetectorKind;
-use pcor_service::{BudgetLedger, DatasetRegistry, ReleaseRequest, Server, ServerConfig};
+use pcor_service::{
+    BudgetLedger, DatasetRegistry, ReleaseRequest, RequestEnvelope, Server, ServerConfig,
+};
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use std::hint::black_box;
@@ -53,7 +55,7 @@ fn bench_service_batch(c: &mut Criterion) {
                         .with_epsilon(0.2)
                         .with_samples(10)
                         .with_seed(seed);
-                        server.submit(request).expect("submit")
+                        server.submit_envelope(RequestEnvelope::single(request)).expect("submit")
                     })
                     .collect();
                 for handle in pending {

@@ -13,7 +13,9 @@ use pcor_core::runner::find_random_outliers;
 use pcor_core::SamplingAlgorithm;
 use pcor_data::generator::{salary_dataset, SalaryConfig};
 use pcor_outlier::DetectorKind;
-use pcor_service::{BudgetLedger, DatasetRegistry, ReleaseRequest, Server, ServerConfig};
+use pcor_service::{
+    BudgetLedger, DatasetRegistry, ReleaseRequest, RequestEnvelope, Server, ServerConfig,
+};
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use std::sync::Arc;
@@ -75,7 +77,7 @@ pub fn run(scale: &ExperimentScale) -> Result<ExperimentOutput> {
                 .with_epsilon(scale.epsilon)
                 .with_samples(scale.samples)
                 .with_seed(scale.seed ^ i as u64);
-                server.submit(request)
+                server.submit_envelope(RequestEnvelope::single(request))
             })
             .collect::<std::result::Result<_, _>>()
             .map_err(|e| BenchError::Service(e.to_string()))?;

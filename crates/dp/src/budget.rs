@@ -156,6 +156,10 @@ pub struct BudgetAccountant {
     total: f64,
     spent: f64,
     reserved: f64,
+    /// Reservations not yet resolved. `reserved` is a running float sum,
+    /// so it is reset to exactly `0.0` when the last one resolves instead
+    /// of keeping the rounding residue of the additions and subtractions.
+    open: usize,
 }
 
 impl BudgetAccountant {
@@ -165,7 +169,7 @@ impl BudgetAccountant {
     /// Returns [`DpError::InvalidEpsilon`] for non-positive totals.
     pub fn new(total: f64) -> Result<Self> {
         validate_epsilon(total)?;
-        Ok(BudgetAccountant { total, spent: 0.0, reserved: 0.0 })
+        Ok(BudgetAccountant { total, spent: 0.0, reserved: 0.0, open: 0 })
     }
 
     /// Total budget.
@@ -178,7 +182,8 @@ impl BudgetAccountant {
         self.spent
     }
 
-    /// Budget currently reserved by in-flight releases.
+    /// Budget currently reserved by in-flight releases (exactly `0.0`
+    /// whenever no reservation is open).
     pub fn reserved(&self) -> f64 {
         self.reserved
     }
@@ -227,38 +232,51 @@ impl BudgetAccountant {
             });
         }
         self.reserved += epsilon;
+        self.open += 1;
         Ok(())
     }
 
-    /// Converts `epsilon` of reserved budget into a permanent spend (the
-    /// release consumed its privacy budget).
+    /// Resolves one open reservation of `epsilon` into a permanent spend
+    /// (the release consumed its privacy budget).
     ///
     /// # Errors
-    /// Returns [`DpError::InvalidEpsilon`] if `epsilon` exceeds the currently
-    /// reserved amount (a protocol violation) or is non-positive.
+    /// Returns [`DpError::InvalidEpsilon`] if no reservation is open or
+    /// `epsilon` exceeds the currently reserved amount (protocol
+    /// violations) or is non-positive.
     pub fn commit(&mut self, epsilon: f64) -> Result<()> {
-        self.take_reservation(epsilon)?;
-        self.spent += epsilon;
-        Ok(())
+        self.settle(epsilon, epsilon)
     }
 
-    /// Returns `epsilon` of reserved budget to the pool (the release failed
-    /// before invoking any mechanism, so no privacy was consumed).
+    /// Resolves one open reservation of `epsilon` by returning it to the
+    /// pool (the release failed before invoking any mechanism, so no
+    /// privacy was consumed).
     ///
     /// # Errors
-    /// Returns [`DpError::InvalidEpsilon`] if `epsilon` exceeds the currently
-    /// reserved amount (a protocol violation) or is non-positive.
+    /// As [`commit`](BudgetAccountant::commit).
     pub fn refund(&mut self, epsilon: f64) -> Result<()> {
-        self.take_reservation(epsilon)
+        self.settle(epsilon, 0.0)
     }
 
-    fn take_reservation(&mut self, epsilon: f64) -> Result<()> {
+    /// Resolves one open reservation of `epsilon`: `spend` of it becomes a
+    /// permanent spend and the rest returns to the pool (a batch whose
+    /// failed items refund their slices).
+    ///
+    /// # Errors
+    /// As [`commit`](BudgetAccountant::commit), plus
+    /// [`DpError::InvalidEpsilon`] when `spend` is outside `[0, epsilon]`.
+    pub fn settle(&mut self, epsilon: f64, spend: f64) -> Result<()> {
         validate_epsilon(epsilon)?;
-        if epsilon > self.reserved + 1e-12 {
+        if self.open == 0 || epsilon > self.reserved + 1e-12 {
             return Err(DpError::InvalidEpsilon(epsilon));
         }
-        // Clamp to zero so repeated float subtraction cannot drift negative.
-        self.reserved = (self.reserved - epsilon).max(0.0);
+        if !(0.0..=epsilon).contains(&spend) {
+            return Err(DpError::InvalidEpsilon(spend));
+        }
+        self.open -= 1;
+        // Clamp to zero so repeated float subtraction cannot drift
+        // negative, and drop the rounding residue once nothing is held.
+        self.reserved = if self.open == 0 { 0.0 } else { (self.reserved - epsilon).max(0.0) };
+        self.spent += spend;
         Ok(())
     }
 
@@ -411,6 +429,32 @@ mod tests {
         assert!(acct.commit(0.3).is_err());
         assert!(acct.refund(-0.1).is_err());
         acct.commit(0.2).unwrap();
+    }
+
+    #[test]
+    fn reserved_is_exactly_zero_once_every_reservation_resolves() {
+        let mut acct = BudgetAccountant::new(1.0).unwrap();
+        for _ in 0..3 {
+            acct.reserve(0.1).unwrap();
+        }
+        // 0.1 + 0.1 + 0.1 - 0.1 - 0.1 - 0.1 leaves 2.8e-17 in float.
+        acct.commit(0.1).unwrap();
+        acct.refund(0.1).unwrap();
+        assert!(acct.reserved() > 0.0);
+        acct.commit(0.1).unwrap();
+        assert_eq!(acct.reserved(), 0.0);
+        assert!((acct.spent() - 0.2).abs() < 1e-12);
+        // A split resolution resolves one reservation, not two.
+        acct.reserve(0.3).unwrap();
+        acct.reserve(0.1).unwrap();
+        acct.settle(0.3, 0.2).unwrap();
+        assert!((acct.reserved() - 0.1).abs() < 1e-12);
+        acct.settle(0.1, 0.0).unwrap();
+        assert_eq!(acct.reserved(), 0.0);
+        assert!((acct.spent() - 0.4).abs() < 1e-12);
+        assert!(acct.settle(0.1, 0.0).is_err(), "nothing is open");
+        acct.reserve(0.1).unwrap();
+        assert!(acct.settle(0.1, 0.2).is_err(), "cannot spend more than the reservation");
     }
 
     #[test]

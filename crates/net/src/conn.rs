@@ -8,16 +8,15 @@
 //! pause/interest/deadline accessors. Everything here is synchronous and
 //! non-blocking; any condition that poisons the byte stream returns a
 //! [`CloseReason`] and the reactor drops the connection, which drops its
-//! queued [`PendingResponse`]/[`BatchStream`] handles — the server side
-//! observes the dropped stream, stops the batch at the next item boundary
-//! and refunds every unprocessed ε slice (see `Server::handle_batch`).
+//! queued [`PendingResponse`] handles — the server side observes the
+//! dropped handle, stops the batch at the next item boundary and refunds
+//! every unprocessed ε slice.
 
 use crate::metrics::NetMetrics;
 use crate::NetConfig;
 use pcor_faults::{site, Faults, SocketFault};
 use pcor_service::{
-    decode_request, encode_reply, BatchStream, EnvelopeSubmission, FrameDecoder, PendingResponse,
-    ResponseEnvelope, Server, WireError, WireReply,
+    decode_request, encode_reply, FrameDecoder, PendingResponse, Server, WireError, WireReply,
 };
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -69,10 +68,10 @@ impl CloseReason {
 /// order with its connection's other requests.
 #[derive(Debug)]
 enum PendingReply {
-    /// A single release in flight; `None` once consumed by `wait`.
-    Single { pending: Option<PendingResponse> },
-    /// A streaming batch: items drain as they finish, then the summary.
-    Stream { version: u16, stream: BatchStream },
+    /// Admitted: a batch's items drain as they finish, then the terminal
+    /// reply (a single has only the reply). Boxed: the handle holds a
+    /// whole response inline.
+    Admitted(Box<PendingResponse>),
     /// Refused at admission (or malformed): the error reply is owed but
     /// nothing is in flight.
     Refused { error: WireError },
@@ -136,9 +135,7 @@ impl Conn {
 
     /// Whether any admitted request is still unanswered.
     pub(crate) fn has_inflight(&self) -> bool {
-        self.queue
-            .iter()
-            .any(|entry| matches!(entry, PendingReply::Single { .. } | PendingReply::Stream { .. }))
+        self.queue.iter().any(|entry| matches!(entry, PendingReply::Admitted(_)))
     }
 
     /// Whether this connection owes the peer anything at all.
@@ -248,13 +245,8 @@ impl Conn {
             };
             metrics.frames_read.inc();
             let entry = match decode_request(&payload) {
-                Ok(envelope) => match server.try_submit_envelope_streaming(envelope) {
-                    Ok(EnvelopeSubmission::Single(pending)) => {
-                        PendingReply::Single { pending: Some(pending) }
-                    }
-                    Ok(EnvelopeSubmission::Stream { version, stream }) => {
-                        PendingReply::Stream { version, stream }
-                    }
+                Ok(envelope) => match server.try_submit_envelope(envelope) {
+                    Ok(pending) => PendingReply::Admitted(Box::new(pending)),
                     Err(err) => {
                         let error = WireError::from_service(&err);
                         if error.is_backpressure() {
@@ -307,15 +299,31 @@ impl Conn {
                     self.write_buf.extend_from_slice(&encode_reply(&reply));
                     self.queue.pop_front();
                 }
-                PendingReply::Single { pending } => {
-                    let finished =
-                        pending.as_mut().map(PendingResponse::is_finished).unwrap_or(true);
-                    if !finished {
-                        return false;
+                PendingReply::Admitted(pending) => {
+                    // Items first, in order, then the terminal reply.
+                    loop {
+                        if self.write_buf.len() - self.written >= config.write_buf_limit {
+                            // Buffer full mid-stream: resume once flush drains.
+                            return true;
+                        }
+                        let item = match pending.try_next_item() {
+                            Some(item) => item,
+                            None if pending.is_finished() => break,
+                            // The poll may have caught an item just sent;
+                            // otherwise the head is still computing and
+                            // FIFO blocks later replies.
+                            None => match pending.try_next_item() {
+                                Some(item) => item,
+                                None => return false,
+                            },
+                        };
+                        metrics.replies_item.inc();
+                        self.write_buf.extend_from_slice(&encode_reply(&WireReply::Item(item)));
                     }
-                    let outcome =
-                        pending.take().expect("single entry consumed exactly once").wait();
-                    let reply = match outcome {
+                    let Some(PendingReply::Admitted(pending)) = self.queue.pop_front() else {
+                        unreachable!("the head entry was just matched");
+                    };
+                    let reply = match (*pending).wait() {
                         Ok(envelope) => {
                             metrics.replies_response.inc();
                             WireReply::Response(envelope)
@@ -326,36 +334,6 @@ impl Conn {
                         }
                     };
                     self.write_buf.extend_from_slice(&encode_reply(&reply));
-                    self.queue.pop_front();
-                }
-                PendingReply::Stream { version, stream } => {
-                    while self.write_buf.len() - self.written < config.write_buf_limit {
-                        let Some(item) = stream.try_next_item() else { break };
-                        metrics.replies_item.inc();
-                        self.write_buf.extend_from_slice(&encode_reply(&WireReply::Item(item)));
-                    }
-                    if self.write_buf.len() - self.written >= config.write_buf_limit {
-                        // Buffer full mid-stream: resume once flush drains.
-                        return true;
-                    }
-                    let Some(summary) = stream.try_take_summary() else {
-                        // Head still computing: FIFO blocks later replies.
-                        return false;
-                    };
-                    let reply = match summary {
-                        Ok(response) => {
-                            metrics.replies_response.inc();
-                            WireReply::Response(
-                                ResponseEnvelope::batch(response).at_version(*version),
-                            )
-                        }
-                        Err(err) => {
-                            metrics.replies_error.inc();
-                            WireReply::Error(WireError::from_service(&err))
-                        }
-                    };
-                    self.write_buf.extend_from_slice(&encode_reply(&reply));
-                    self.queue.pop_front();
                 }
             }
         }

@@ -2,8 +2,8 @@
 //! server on the wire.
 //!
 //! The serving stack below this crate is synchronous: [`pcor_service::Server`]
-//! admits envelopes into a bounded worker pool and hands back completion
-//! handles ([`pcor_service::PendingResponse`], [`pcor_service::BatchStream`]).
+//! admits envelopes into a bounded worker pool and hands back one
+//! completion handle per envelope ([`pcor_service::PendingResponse`]).
 //! What a deployment additionally needs is a front that owns *thousands of
 //! mostly-idle analyst TCP connections* without spending a thread on each —
 //! and the workspace builds offline, so `tokio`/`mio` are not available.
@@ -12,7 +12,7 @@
 //! - One reactor thread multiplexes every connection with level-triggered
 //!   readiness, parsing length-prefixed [`RequestEnvelope`] frames (v1 and
 //!   v2 both accepted) and submitting them through the server's
-//!   non-blocking admission ([`Server::try_submit_envelope_streaming`]).
+//!   non-blocking admission ([`Server::try_submit_envelope`]).
 //! - Batch results stream back per item the moment each release resolves;
 //!   replies to one connection stay FIFO with its requests so pipelining
 //!   clients correlate by order.
@@ -31,7 +31,7 @@
 //! `net.accept` / `net.read` / `net.write`.
 //!
 //! [`RequestEnvelope`]: pcor_service::RequestEnvelope
-//! [`Server::try_submit_envelope_streaming`]: pcor_service::Server::try_submit_envelope_streaming
+//! [`Server::try_submit_envelope`]: pcor_service::Server::try_submit_envelope
 //! [`Server::health`]: pcor_service::Server::health
 
 use pcor_faults::Faults;

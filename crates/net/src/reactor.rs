@@ -362,8 +362,8 @@ impl Reactor {
             self.open -= 1;
             self.metrics.open.set(self.open as f64);
             // `conn` drops here: the socket closes and every queued
-            // PendingResponse/BatchStream handle goes with it — the
-            // serving stack cancels at the next boundary and refunds.
+            // PendingResponse handle goes with it — the serving stack
+            // cancels at the next boundary and refunds.
         }
     }
 }

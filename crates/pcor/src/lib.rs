@@ -95,8 +95,8 @@ pub mod prelude {
     };
     pub use pcor_runtime::ThreadPool;
     pub use pcor_service::{
-        BatchItem, BatchReleaseRequest, BatchReleaseResponse, BatchStream, BudgetLedger,
-        DatasetRegistry, DurableLedger, HealthReport, ItemOutcome, RecoveryReport, ReleaseRequest,
+        BatchItem, BatchReleaseRequest, BatchReleaseResponse, BudgetLedger, DatasetRegistry,
+        DurableLedger, HealthReport, ItemOutcome, PendingResponse, RecoveryReport, ReleaseRequest,
         ReleaseResponse, RequestEnvelope, ResponseEnvelope, Server, ServerConfig, ServiceError,
         WalConfig,
     };

@@ -157,14 +157,8 @@ impl Reservation {
         let mut pending = None;
         let mut inner = self.inner.lock().expect("ledger poisoned");
         if let Some(account) = inner.accounts.get_mut(&self.key) {
-            if spend > 0.0 {
-                let outcome = account.commit(spend);
-                debug_assert!(outcome.is_ok(), "reservation commit violated the protocol");
-            }
-            if refund > 0.0 {
-                let outcome = account.refund(refund);
-                debug_assert!(outcome.is_ok(), "reservation refund violated the protocol");
-            }
+            let outcome = account.settle(self.epsilon, spend);
+            debug_assert!(outcome.is_ok(), "reservation resolution violated the protocol");
         }
         // Audit while still holding the lock: event order == account order.
         // The commit/refund has already been applied to the accountant (the

@@ -116,10 +116,7 @@ pub use request::{
     ItemRelease, ReleaseRequest, ReleaseResponse, RequestBody, RequestEnvelope, ResponseBody,
     ResponseEnvelope, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
-pub use server::{
-    BatchStream, EnvelopeSubmission, HealthReport, PendingBatch, PendingRelease, PendingResponse,
-    Server, ServerConfig,
-};
+pub use server::{HealthReport, PendingResponse, Server, ServerConfig};
 pub use wire::{
     decode_reply, decode_request, encode_reply, encode_request, frame_bytes, FrameDecoder,
     FrameError, WireError, WireReply, FRAME_HEADER_LEN, MAX_FRAME_LEN,
@@ -139,7 +136,7 @@ pub mod prelude {
         BatchItem, BatchReleaseRequest, BatchReleaseResponse, ItemOutcome, ReleaseRequest,
         ReleaseResponse, RequestEnvelope, ResponseEnvelope,
     };
-    pub use crate::server::{BatchStream, Server, ServerConfig};
+    pub use crate::server::{PendingResponse, Server, ServerConfig};
     pub use crate::ServiceError;
     pub use pcor_dp::MechanismKind;
     pub use pcor_runtime::ThreadPool;

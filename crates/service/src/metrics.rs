@@ -36,21 +36,9 @@ pub struct ServerMetrics {
 }
 
 impl ServerMetrics {
-    /// Records a successfully served release.
-    pub fn record_served(&self, latency: Duration) {
-        self.served.fetch_add(1, Ordering::Relaxed);
-        self.total_latency_nanos
-            .fetch_add(latency.as_nanos().min(u64::MAX as u128) as u64, Ordering::Relaxed);
-    }
-
     /// Records a budget refusal.
     pub fn record_refused(&self) {
         self.refused.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a failed release (non-budget error).
-    pub fn record_failed(&self) {
-        self.failed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a request that ended as `DeadlineExceeded` — whether it was
@@ -99,11 +87,12 @@ impl ServerMetrics {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a served batch with per-item resolution: `released` items
-    /// count as served releases and `failed` items as failed releases, so
-    /// the counters stay comparable with the single-request path. The
-    /// batch's end-to-end latency is added once (when anything released),
-    /// making `mean_latency` the *amortized* latency per served release.
+    /// Records a served request with per-item resolution (a single is a
+    /// one-item batch): `released` items count as served releases and
+    /// `failed` items as failed releases (non-budget errors). The
+    /// request's end-to-end latency is added once (when anything
+    /// released), making `mean_latency` the *amortized* latency per served
+    /// release.
     pub fn record_batch(&self, released: u64, failed: u64, latency: Duration) {
         self.served.fetch_add(released, Ordering::Relaxed);
         self.failed.fetch_add(failed, Ordering::Relaxed);
@@ -225,10 +214,10 @@ mod tests {
     fn counters_accumulate_and_average() {
         let metrics = ServerMetrics::default();
         assert_eq!(metrics.snapshot().mean_latency, Duration::ZERO);
-        metrics.record_served(Duration::from_millis(10));
-        metrics.record_served(Duration::from_millis(30));
+        metrics.record_batch(1, 0, Duration::from_millis(10));
+        metrics.record_batch(1, 0, Duration::from_millis(30));
         metrics.record_refused();
-        metrics.record_failed();
+        metrics.record_batch(0, 1, Duration::from_millis(5));
         let snapshot = metrics.snapshot();
         assert_eq!(snapshot.served, 2);
         assert_eq!(snapshot.refused, 1);
@@ -239,7 +228,7 @@ mod tests {
     #[test]
     fn pool_health_merges_into_the_snapshot() {
         let metrics = ServerMetrics::default();
-        metrics.record_served(Duration::from_millis(1));
+        metrics.record_batch(1, 0, Duration::from_millis(1));
         let pool = PoolStats {
             workers: 4,
             queue_depth: 3,
@@ -294,8 +283,8 @@ mod tests {
         let empty = metrics.snapshot();
         assert_eq!(empty.verifier_cache_hit_rate(), 0.0);
         assert_eq!(empty.evaluations_per_release(), 0.0);
-        metrics.record_served(Duration::from_millis(1));
-        metrics.record_served(Duration::from_millis(1));
+        metrics.record_batch(1, 0, Duration::from_millis(1));
+        metrics.record_batch(1, 0, Duration::from_millis(1));
         metrics.record_engine(30, 100, 70, 4096);
         metrics.record_engine(10, 100, 90, 1024);
         let snapshot = metrics.snapshot();

@@ -521,6 +521,26 @@ impl BatchReleaseRequest {
     }
 }
 
+/// A single release is a one-item batch: same binding, one item carrying
+/// the request's ε, samples and seed. The server serves singles this way.
+impl From<ReleaseRequest> for BatchReleaseRequest {
+    fn from(request: ReleaseRequest) -> Self {
+        BatchReleaseRequest {
+            analyst: request.analyst,
+            dataset: request.dataset,
+            detector: request.detector,
+            algorithm: request.algorithm,
+            mechanism: request.mechanism,
+            items: vec![BatchItem {
+                record_id: request.record_id,
+                epsilon: request.epsilon,
+                samples: request.samples,
+                seed: request.seed,
+            }],
+        }
+    }
+}
+
 /// The versioned response envelope mirroring [`RequestEnvelope`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResponseEnvelope {

@@ -11,46 +11,48 @@
 //! parallelism; the helping fork-join of `pcor-runtime` makes that nesting
 //! deadlock-free.
 //!
-//! [`Server::submit`] / [`Server::submit_batch`] enqueue a request and
-//! return a completion handle ([`PendingRelease`] / [`PendingBatch`]:
-//! `wait()` blocks, `is_finished()` polls); [`Server::try_submit`] and
-//! [`Server::try_submit_batch`] refuse with [`ServiceError::QueueFull`]
+//! Every request is a [`RequestEnvelope`]. [`Server::submit_envelope`]
+//! enqueues one and returns a [`PendingResponse`];
+//! [`Server::try_submit_envelope`] refuses with [`ServiceError::QueueFull`]
 //! instead of blocking when `queue_capacity` requests are already in
-//! flight (back-pressure for load generators). Raw envelopes go through
-//! [`Server::submit_envelope`]. Every response carries the end-to-end
-//! latency (queue wait included) and the analyst's remaining budget.
+//! flight (back-pressure for load generators and the network reactor).
+//! [`Server::execute`] and [`Server::execute_batch`] are the typed,
+//! blocking helpers. Every response carries the end-to-end latency (queue
+//! wait included) and the analyst's remaining budget.
 //!
-//! [`Server::submit_batch_streaming`] returns a [`BatchStream`] that
-//! yields each item's result **as it finishes** instead of blocking until
-//! the slowest item: the serving task pushes item responses through a
-//! bounded channel (capacity 1, so the server computes at most one item
-//! ahead of the consumer — streaming back-pressure), then a final summary.
-//! Dropping the stream cancels the batch's unprocessed items and refunds
+//! There is one serving path: a single [`ReleaseRequest`] is served as a
+//! one-item batch. A batch's items surface on the handle **as they
+//! finish** ([`PendingResponse::next_item`]): the serving task pushes them
+//! through a bounded channel (capacity 1, so the server computes at most
+//! one item ahead of the consumer — streaming back-pressure), then the
+//! terminal reply. A single emits no item events, only its reply.
+//! Dropping the handle cancels a batch's unprocessed items and refunds
 //! their ε slices.
 //!
 //! Budget safety under concurrency comes from the ledger's two-phase
-//! protocol: a task *reserves* the request's ε — for a batch (streamed or
-//! not), the **sum** of the per-item budgets, refused whole if it does not
-//! fit — before touching the dataset, *commits* what the successful
-//! releases consumed and *refunds* the rest (for a batch: each failed
-//! item's slice). A panicking task refunds via the reservation's drop
-//! guard, and the pool isolates the panic so the worker survives.
+//! protocol: a task *reserves* the **sum** of the items' ε — refused whole
+//! if it does not fit — before touching the dataset, then *commits* what
+//! the successful releases consumed and *refunds* the rest in one
+//! resolution. A panicking task refunds via the reservation's drop guard,
+//! and the pool isolates the panic so the worker survives.
 //!
-//! A batch is served on one [`pcor_core::ReleaseSession`]: the detector is
-//! built once and every record's memoized verifier is shared across the
-//! batch's items, so repeat records cost strictly fewer fresh `f_M`
-//! verification calls than equivalent single requests.
+//! An envelope is served on one [`pcor_core::ReleaseSession`]: the
+//! detector is built once and every record's memoized verifier is shared
+//! across a batch's items, so repeat records cost strictly fewer fresh
+//! `f_M` verification calls than equivalent single requests.
 //!
 //! # Hardened lifecycle
 //!
 //! A v2 envelope may carry a deadline (`deadline_ms`); it becomes a
 //! [`pcor_core::cancel::CancelToken`] the whole serving path shares. A
-//! queued request already past its deadline is answered
-//! [`ServiceError::DeadlineExceeded`] without reserving; one cancelled
-//! mid-release stops within a single verification call (the verifier
-//! checks the token before every fresh evaluation) and the reservation's
-//! drop refunds exactly the reserved slice — no private draw was
-//! published, so no ε is owed. At admission, a deadline the estimated
+//! request already past its deadline at admission or when a worker picks
+//! it up is answered [`ServiceError::DeadlineExceeded`] without reserving;
+//! one cancelled mid-release stops within a single verification call (the
+//! verifier checks the token before every fresh evaluation). The
+//! cancelled item and every item after it are dropped from the reply and
+//! their ε slices refunded — no private draw was published, so no ε is
+//! owed — and the request counts once as deadline-exceeded (a single
+//! answers [`ServiceError::DeadlineExceeded`]). At admission, a deadline the estimated
 //! queue wait (mean latency × in-flight count) already exceeds is shed
 //! with [`ServiceError::Overloaded`] and a `retry_after` hint, *before*
 //! taking an in-flight slot; literal capacity exhaustion keeps its own
@@ -78,7 +80,7 @@ use pcor_telemetry::{MetricsRegistry, SpanId, Telemetry, TraceId};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Configuration of the server's execution pool.
 #[derive(Debug, Clone)]
@@ -86,7 +88,8 @@ pub struct ServerConfig {
     /// Number of resident pool workers (when the server owns its pool).
     pub workers: usize,
     /// Maximum number of requests in flight (queued or executing) before
-    /// [`Server::try_submit`] refuses and [`Server::submit`] blocks.
+    /// [`Server::try_submit_envelope`] refuses and
+    /// [`Server::submit_envelope`] blocks.
     pub queue_capacity: usize,
     /// Fault-injection handle for the serving path ([`Faults::disabled`]
     /// in production): the `service.release` seam fires at the start of
@@ -189,247 +192,110 @@ impl Drop for InflightSlot {
     }
 }
 
-/// A completion handle for a submitted envelope; resolves to the response
-/// envelope.
+/// One event on a [`PendingResponse`]'s channel.
+enum Event {
+    /// A finished batch item (singles emit none).
+    Item(BatchItemResponse),
+    /// The terminal reply: the response envelope or the request's error.
+    Done(Result<ResponseEnvelope>),
+}
+
+/// The completion handle of a submitted envelope.
+///
+/// A batch's items surface through [`PendingResponse::next_item`] as soon
+/// as the serving task finishes each one, so the analyst sees early
+/// results while later items are still searching; a single release has no
+/// items, only its terminal reply. The channel between the serving task
+/// and the handle holds one event, so the server computes at most one
+/// item ahead of the consumer (streaming back-pressure) — a batch handle
+/// that nobody drains holds its worker. [`PendingResponse::wait`] folds
+/// the events into the terminal [`ResponseEnvelope`]; a batch's summary
+/// repeats every item, so `wait` alone loses nothing.
+///
+/// Dropping the handle early **cancels** a batch: items not yet processed
+/// are skipped and their ε slices refunded (items already released stay
+/// committed — their mechanism ran).
 #[derive(Debug)]
 pub struct PendingResponse {
-    receiver: mpsc::Receiver<Result<ResponseEnvelope>>,
-    ready: Option<Result<ResponseEnvelope>>,
+    receiver: mpsc::Receiver<Event>,
+    buffered: VecDeque<BatchItemResponse>,
+    done: Option<Result<ResponseEnvelope>>,
 }
 
 impl PendingResponse {
-    fn new(receiver: mpsc::Receiver<Result<ResponseEnvelope>>) -> Self {
-        PendingResponse { receiver, ready: None }
+    /// A handle whose terminal reply is already known: the envelope was
+    /// answered at admission without reaching a worker.
+    fn answered(outcome: Result<ResponseEnvelope>) -> Self {
+        let (_, receiver) = mpsc::sync_channel(0);
+        PendingResponse { receiver, buffered: VecDeque::new(), done: Some(outcome) }
     }
 
-    /// Whether the response is ready (never blocks).
+    /// Takes one event off the channel: an item is returned, the terminal
+    /// reply is kept (a vanished serving task reads as
+    /// [`ServiceError::Shutdown`]). `None` once the reply has arrived, or
+    /// when `block` is false and nothing is ready.
+    fn receive(&mut self, block: bool) -> Option<BatchItemResponse> {
+        if self.done.is_some() {
+            return None;
+        }
+        let event = if block {
+            self.receiver.recv().ok()
+        } else {
+            match self.receiver.try_recv() {
+                Err(mpsc::TryRecvError::Empty) => return None,
+                event => event.ok(),
+            }
+        };
+        match event {
+            Some(Event::Item(item)) => Some(item),
+            Some(Event::Done(outcome)) => {
+                self.done = Some(outcome);
+                None
+            }
+            None => {
+                self.done = Some(Err(ServiceError::Shutdown));
+                None
+            }
+        }
+    }
+
+    /// Blocks for the next finished item; `None` once every item has been
+    /// yielded (the terminal reply is then available via
+    /// [`PendingResponse::wait`] without blocking).
+    pub fn next_item(&mut self) -> Option<BatchItemResponse> {
+        self.buffered.pop_front().or_else(|| self.receive(true))
+    }
+
+    /// Non-blocking [`PendingResponse::next_item`]: a finished item if one
+    /// is ready right now, `None` otherwise (which means *not yet* until
+    /// [`PendingResponse::is_finished`] says the reply has arrived). This
+    /// is the poll surface the network reactor drains between epoll
+    /// wakeups — it must never park the reactor thread on a slow release.
+    pub fn try_next_item(&mut self) -> Option<BatchItemResponse> {
+        self.buffered.pop_front().or_else(|| self.receive(false))
+    }
+
+    /// Whether the terminal reply has arrived. Never blocks, and takes at
+    /// most one event off the channel: an item it takes is buffered for
+    /// later `next_item` calls, so polling alone never lets the serving
+    /// task run more than one item ahead of the consumer.
     pub fn is_finished(&mut self) -> bool {
-        if self.ready.is_some() {
-            return true;
+        if let Some(item) = self.receive(false) {
+            self.buffered.push_back(item);
         }
-        match self.receiver.try_recv() {
-            Ok(outcome) => {
-                self.ready = Some(outcome);
-                true
-            }
-            Err(mpsc::TryRecvError::Empty) => false,
-            Err(mpsc::TryRecvError::Disconnected) => {
-                self.ready = Some(Err(ServiceError::Shutdown));
-                true
-            }
-        }
+        self.done.is_some()
     }
 
-    /// Blocks until the serving task has answered.
+    /// Drains any remaining items and returns the terminal reply.
     ///
     /// # Errors
-    /// Propagates the request's service error, or
+    /// Propagates the request's service error (a refused batch is one
+    /// error; per-item failures are inside its response), or
     /// [`ServiceError::Shutdown`] if the server stopped first.
     pub fn wait(mut self) -> Result<ResponseEnvelope> {
-        if let Some(outcome) = self.ready.take() {
-            return outcome;
-        }
-        self.receiver.recv().map_err(|_| ServiceError::Shutdown)?
-    }
-}
-
-/// A completion handle for a submitted single-record request.
-#[derive(Debug)]
-pub struct PendingRelease {
-    inner: PendingResponse,
-}
-
-impl PendingRelease {
-    /// Whether the response is ready (never blocks).
-    pub fn is_finished(&mut self) -> bool {
-        self.inner.is_finished()
-    }
-
-    /// Blocks until the serving task has answered.
-    ///
-    /// # Errors
-    /// Propagates the request's service error, or
-    /// [`ServiceError::Shutdown`] if the server stopped first.
-    pub fn wait(self) -> Result<ReleaseResponse> {
-        self.inner.wait()?.into_single().ok_or_else(|| {
-            ServiceError::InvalidRequest("protocol violation: batch answer to a single".into())
-        })
-    }
-}
-
-/// A completion handle for a submitted batch request.
-#[derive(Debug)]
-pub struct PendingBatch {
-    inner: PendingResponse,
-}
-
-impl PendingBatch {
-    /// Whether the response is ready (never blocks).
-    pub fn is_finished(&mut self) -> bool {
-        self.inner.is_finished()
-    }
-
-    /// Blocks until the serving task has answered.
-    ///
-    /// # Errors
-    /// Propagates the batch's service error (a refused batch is one error;
-    /// per-item failures are inside the response), or
-    /// [`ServiceError::Shutdown`] if the server stopped first.
-    pub fn wait(self) -> Result<BatchReleaseResponse> {
-        self.inner.wait()?.into_batch().ok_or_else(|| {
-            ServiceError::InvalidRequest("protocol violation: single answer to a batch".into())
-        })
-    }
-}
-
-/// One event of a streamed batch.
-pub(crate) enum StreamEvent {
-    Item(BatchItemResponse),
-    Done(Result<BatchReleaseResponse>),
-}
-
-/// An incrementally resolving batch created by
-/// [`Server::submit_batch_streaming`].
-///
-/// [`BatchStream::next_item`] yields each item's result as soon as the
-/// serving task finishes it — the analyst sees early results while later
-/// items are still searching. The channel between server and stream is
-/// bounded at one item, so the server computes at most one item ahead of
-/// the consumer (streaming back-pressure). After the last item,
-/// [`BatchStream::wait`] returns the same [`BatchReleaseResponse`] summary
-/// a [`PendingBatch`] would have: one summed-ε reservation up front,
-/// per-item commits and refunds resolved at the end.
-///
-/// Dropping the stream early **cancels** the batch: items not yet
-/// processed are skipped and their ε slices refunded with the failed
-/// items' (items already released stay committed — their mechanism ran).
-pub struct BatchStream {
-    receiver: mpsc::Receiver<StreamEvent>,
-    buffered: VecDeque<BatchItemResponse>,
-    done: Option<Result<BatchReleaseResponse>>,
-}
-
-impl BatchStream {
-    /// Blocks for the next finished item; `None` once every processed item
-    /// has been yielded (the summary is then available via
-    /// [`BatchStream::wait`]).
-    pub fn next_item(&mut self) -> Option<BatchItemResponse> {
-        if let Some(item) = self.buffered.pop_front() {
-            return Some(item);
-        }
-        if self.done.is_some() {
-            return None;
-        }
-        match self.receiver.recv() {
-            Ok(StreamEvent::Item(item)) => Some(item),
-            Ok(StreamEvent::Done(summary)) => {
-                self.done = Some(summary);
-                None
-            }
-            Err(_) => {
-                self.done = Some(Err(ServiceError::Shutdown));
-                None
-            }
-        }
-    }
-
-    /// Non-blocking [`BatchStream::next_item`]: a finished item if one is
-    /// ready right now, `None` otherwise (which means *not yet* until
-    /// [`BatchStream::try_take_summary`] returns the final accounting).
-    /// This is the poll surface the network reactor drains between epoll
-    /// wakeups — it must never park a reactor thread on a slow release.
-    pub fn try_next_item(&mut self) -> Option<BatchItemResponse> {
-        if let Some(item) = self.buffered.pop_front() {
-            return Some(item);
-        }
-        if self.done.is_some() {
-            return None;
-        }
-        match self.receiver.try_recv() {
-            Ok(StreamEvent::Item(item)) => Some(item),
-            Ok(StreamEvent::Done(summary)) => {
-                self.done = Some(summary);
-                None
-            }
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => {
-                self.done = Some(Err(ServiceError::Shutdown));
-                None
-            }
-        }
-    }
-
-    /// Takes the final summary once every item has been yielded and the
-    /// batch's accounting has resolved; `None` while items are pending or
-    /// still buffered. Never blocks.
-    pub fn try_take_summary(&mut self) -> Option<Result<BatchReleaseResponse>> {
-        if !self.buffered.is_empty() || !self.is_finished() || !self.buffered.is_empty() {
-            return None;
-        }
-        self.done.take()
-    }
-
-    /// Whether the whole batch (including its final accounting) has
-    /// resolved. Never blocks; buffers any items it drains on the way
-    /// (later [`BatchStream::next_item`] calls still see them).
-    pub fn is_finished(&mut self) -> bool {
-        if self.done.is_some() {
-            return true;
-        }
-        loop {
-            match self.receiver.try_recv() {
-                Ok(StreamEvent::Item(item)) => self.buffered.push_back(item),
-                Ok(StreamEvent::Done(summary)) => {
-                    self.done = Some(summary);
-                    return true;
-                }
-                Err(mpsc::TryRecvError::Empty) => return false,
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    self.done = Some(Err(ServiceError::Shutdown));
-                    return true;
-                }
-            }
-        }
-    }
-
-    /// Drains any remaining items and returns the batch summary.
-    ///
-    /// # Errors
-    /// Propagates whole-batch refusals (budget, validation) and
-    /// [`ServiceError::Shutdown`] if the server died mid-stream.
-    pub fn wait(mut self) -> Result<BatchReleaseResponse> {
         while self.next_item().is_some() {}
         self.done.take().unwrap_or(Err(ServiceError::Shutdown))
     }
-}
-
-impl std::fmt::Debug for BatchStream {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchStream")
-            .field("buffered", &self.buffered.len())
-            .field("done", &self.done.is_some())
-            .finish()
-    }
-}
-
-/// What [`Server::try_submit_envelope_streaming`] admitted: the completion
-/// surface differs by body kind, because a batch over the wire streams
-/// items before its terminal summary while a single has exactly one
-/// answer. Dropping either variant mid-flight cancels the work and
-/// refunds unprocessed ε — the disconnect-safety contract the network
-/// front relies on.
-#[derive(Debug)]
-pub enum EnvelopeSubmission {
-    /// A single release: resolves to one response envelope.
-    Single(PendingResponse),
-    /// A batch: items stream back, then a summary to be wrapped in a
-    /// response envelope echoing `version`.
-    Stream {
-        /// The (validated) protocol version the response must echo.
-        version: u16,
-        /// The incrementally resolving batch.
-        stream: BatchStream,
-    },
 }
 
 /// A concurrent multi-analyst PCOR release server.
@@ -745,495 +611,37 @@ impl Server {
             .set(references as f64);
     }
 
-    /// Serves one envelope end to end on the calling pool worker. `trace`
-    /// and `parent` (the root "server" span) thread causality down into the
-    /// ledger, session and verifier spans. `cancel` (present when the
-    /// envelope carried a deadline) is checked by the verifier before
-    /// every fresh evaluation, so a tripped deadline stops the release
-    /// within one verification call and refunds its reservation.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_envelope(
-        registry: &DatasetRegistry,
-        ledger: &BudgetLedger,
-        metrics: &ServerMetrics,
-        pool: &Arc<ThreadPool>,
-        telemetry: &Telemetry,
-        trace: TraceId,
-        parent: SpanId,
-        envelope: RequestEnvelope,
-        enqueued: Instant,
-        cancel: Option<&CancelToken>,
-    ) -> Result<ResponseEnvelope> {
-        envelope.validate()?;
-        let worker_index = pool.current_worker().unwrap_or(0);
-        // Echo the request's (validated) protocol version so a client
-        // pinned to v1 never receives a response stamped v2.
-        let v = envelope.v;
-        match envelope.body {
-            RequestBody::Single(request) => Self::handle(
-                worker_index,
-                registry,
-                ledger,
-                metrics,
-                pool,
-                telemetry,
-                trace,
-                parent,
-                request,
-                enqueued,
-                cancel,
-            )
-            .map(|response| ResponseEnvelope::single(response).at_version(v)),
-            RequestBody::Batch(batch) => Self::handle_batch(
-                worker_index,
-                registry,
-                ledger,
-                metrics,
-                pool,
-                telemetry,
-                trace,
-                parent,
-                batch,
-                enqueued,
-                cancel,
-                |_| true,
-            )
-            .map(|response| ResponseEnvelope::batch(response).at_version(v)),
-        }
-    }
-
-    /// Serves one batch on the calling pool worker: one summed-ε
-    /// reservation, one shared (pool-attached) release session, per-item
-    /// partial-failure resolution. `sink` observes each finished item in
-    /// order; returning `false` cancels the remaining items (their ε
-    /// slices are refunded with the failed items') — the streaming path's
-    /// dropped-consumer semantics.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_batch(
-        worker_index: usize,
-        registry: &DatasetRegistry,
-        ledger: &BudgetLedger,
-        metrics: &ServerMetrics,
-        pool: &Arc<ThreadPool>,
-        telemetry: &Telemetry,
-        trace: TraceId,
-        parent: SpanId,
-        batch: BatchReleaseRequest,
-        enqueued: Instant,
-        cancel: Option<&CancelToken>,
-        mut sink: impl FnMut(&BatchItemResponse) -> bool,
-    ) -> Result<BatchReleaseResponse> {
-        let entry = registry.get(&batch.dataset)?;
-        // Refuse the whole batch before any work when an item is malformed:
-        // partial-failure semantics apply to *release* failures, not to
-        // requests the analyst could have validated locally.
-        for item in &batch.items {
-            if item.record_id >= entry.dataset().len() {
-                return Err(ServiceError::InvalidRequest(format!(
-                    "record {} out of range for dataset `{}` of {} records",
-                    item.record_id,
-                    batch.dataset,
-                    entry.dataset().len()
-                )));
-            }
-        }
-
-        // Phase 1: one reservation for the summed ε. A batch the analyst's
-        // remaining budget cannot cover is refused whole, before any work.
-        let total_epsilon = batch.total_epsilon();
-        let mechanism = Self::mechanism_name(batch.mechanism.unwrap_or(MechanismKind::Exponential));
-        let reserve_outcome = {
-            let _reserve_span = telemetry.span(trace, Some(parent), "ledger.reserve");
-            ledger.reserve_traced(
-                &batch.analyst,
-                &batch.dataset,
-                total_epsilon,
-                trace.0,
-                Some(mechanism.to_string()),
-            )
-        };
-        let reservation = match reserve_outcome {
-            Ok(reservation) => reservation,
-            Err(err) => {
-                if matches!(err, ServiceError::BudgetExhausted { .. }) {
-                    metrics.record_refused();
-                }
-                return Err(err);
-            }
-        };
-
-        // One session for the whole batch: the detector is built once,
-        // every record's memoized verifier is shared across items, and the
-        // server's resident pool backs the engine's sharded passes.
-        let detector = batch.detector.build();
-        let utility = PopulationSizeUtility;
-        let mut builder = ReleaseSession::builder(entry.dataset(), detector.as_ref(), &utility)
-            .pool(Arc::clone(pool))
-            .trace_context(telemetry.clone(), trace, Some(parent));
-        if let Some(token) = cancel {
-            builder = builder.cancel_token(token.clone());
-        }
-        let mut session = builder.build();
-        let needs_start = batch.algorithm.needs_starting_context();
-
-        let mut items: Vec<BatchItemResponse> = Vec::with_capacity(batch.items.len());
-        let mut committed = 0.0f64;
-        let mut cancelled = false;
-        for item in &batch.items {
-            // A tripped deadline cancels the batch's tail exactly like a
-            // dropped stream consumer: items already released stay
-            // committed, the unprocessed items' ε slices stay in the
-            // reservation for the refund below.
-            if !cancelled && cancel.is_some_and(|token| token.is_cancelled()) {
-                metrics.record_deadline_exceeded();
-                cancelled = true;
-            }
-            if cancelled {
-                // The consumer is gone (or the deadline passed):
-                // unprocessed items are skipped and their ε slices stay in
-                // the reservation for the refund.
-                break;
-            }
-            // Warm the session from the cross-batch registry cache; on a
-            // session-side miss the search runs on the item's verifier and
-            // the result is published back (weighted by its discovery
-            // cost) for future requests.
-            let mut cache_hit = session.starting_context(item.record_id).is_some();
-            if !cache_hit {
-                if let Some(context) =
-                    registry.cached_starting_context(&batch.dataset, item.record_id, batch.detector)
-                {
-                    session.seed_starting_context(item.record_id, context);
-                    cache_hit = true;
-                }
-            }
-            // Resolve the starting context before the release so the
-            // discovery cost (fresh f_M calls) is measurable in isolation;
-            // the release reuses the cached result, so nothing is computed
-            // twice. A resolve failure fails the item with exactly the
-            // error the release itself would have produced.
-            let mut discovery_cost = 0u64;
-            let mut resolve_failure: Option<pcor_core::PcorError> = None;
-            if needs_start && !cache_hit {
-                let calls_before = session.stats().verification_calls;
-                match session.resolve_starting_context(item.record_id) {
-                    Ok(_) => {
-                        discovery_cost = (session.stats().verification_calls - calls_before) as u64;
-                    }
-                    Err(err) => resolve_failure = Some(err),
-                }
-            }
-            let config = batch.item_config(item);
-            let result = match resolve_failure {
-                Some(err) => Err(err),
-                None => session.release_with_seed(item.record_id, &config, item.seed),
-            };
-            // Publish a freshly discovered starting context whether or not
-            // the release itself succeeded: the search result is valid and
-            // expensive, and a retry must not pay for it again.
-            if !cache_hit {
-                if let Some(context) = session.starting_context(item.record_id) {
-                    registry.store_starting_context(
-                        &batch.dataset,
-                        item.record_id,
-                        batch.detector,
-                        context.clone(),
-                        discovery_cost,
-                    );
-                }
-            }
-            let outcome = match result {
-                Ok(result) => {
-                    committed += item.epsilon;
-                    metrics.record_mechanism(result.mechanism);
-                    ItemOutcome::Released(ItemRelease {
-                        predicate: result.context.to_predicate_string(entry.dataset().schema()),
-                        context: result.context,
-                        utility: result.utility,
-                        samples_collected: result.samples_collected,
-                        // The pre-release starting search is this item's
-                        // work; fold its calls back in so per-item counts
-                        // still sum to the batch total.
-                        verification_calls: result.verification_calls + discovery_cost as usize,
-                        guarantee: result.guarantee,
-                        mechanism: result.mechanism,
-                        cache_hit,
-                    })
-                }
-                // The item failed before its mechanism produced output; its
-                // ε slice stays in the reservation and is refunded below.
-                Err(err) => ItemOutcome::Failed { error: err.to_string() },
-            };
-            let response =
-                BatchItemResponse { record_id: item.record_id, epsilon: item.epsilon, outcome };
-            cancelled = !sink(&response);
-            items.push(response);
-        }
-
-        // Phase 2: commit what the successful items consumed; every failed
-        // (and cancelled) item's slice goes back to the analyst.
-        let remaining = ledger.commit_partial(reservation, committed);
-        let latency = enqueued.elapsed();
-        let released = items.iter().filter(|item| item.outcome.is_released()).count();
-        metrics.record_batch(released as u64, (items.len() - released) as u64, latency);
-        let session_stats = session.stats();
-        metrics.record_engine(
-            session_stats.verification_calls as u64,
-            session_stats.cache_lookups as u64,
-            session_stats.cache_hits as u64,
-            session_stats.words_scanned,
-        );
-        Ok(BatchReleaseResponse {
-            analyst: batch.analyst,
-            dataset: batch.dataset,
-            verification_calls: session_stats.verification_calls,
-            items,
-            epsilon_committed: committed,
-            epsilon_refunded: total_epsilon - committed,
-            remaining_budget: remaining,
-            latency,
-            worker: worker_index,
-        })
-    }
-
-    /// Serves one single-record request end to end on the calling pool
-    /// worker.
-    #[allow(clippy::too_many_arguments)]
-    fn handle(
-        worker_index: usize,
-        registry: &DatasetRegistry,
-        ledger: &BudgetLedger,
-        metrics: &ServerMetrics,
-        pool: &Arc<ThreadPool>,
-        telemetry: &Telemetry,
-        trace: TraceId,
-        parent: SpanId,
-        request: ReleaseRequest,
-        enqueued: Instant,
-        cancel: Option<&CancelToken>,
-    ) -> Result<ReleaseResponse> {
-        let entry = registry.get(&request.dataset)?;
-        if request.record_id >= entry.dataset().len() {
-            return Err(ServiceError::InvalidRequest(format!(
-                "record {} out of range for dataset `{}` of {} records",
-                request.record_id,
-                request.dataset,
-                entry.dataset().len()
-            )));
-        }
-
-        // Phase 1: hold the budget before doing any work. Refusals are the
-        // hard guarantee of the service: once an analyst's ε is gone, the
-        // server answers nothing more about that dataset.
-        let mechanism =
-            Self::mechanism_name(request.mechanism.unwrap_or(MechanismKind::Exponential));
-        let reserve_outcome = {
-            let _reserve_span = telemetry.span(trace, Some(parent), "ledger.reserve");
-            ledger.reserve_traced(
-                &request.analyst,
-                &request.dataset,
-                request.epsilon,
-                trace.0,
-                Some(mechanism.to_string()),
-            )
-        };
-        let reservation = match reserve_outcome {
-            Ok(reservation) => reservation,
-            Err(err) => {
-                if matches!(err, ServiceError::BudgetExhausted { .. }) {
-                    metrics.record_refused();
-                }
-                return Err(err);
-            }
-        };
-
-        // One single-release session (pool-attached, warmed from the
-        // registry's shared starting-context cache). On a miss the session
-        // resolves the context on the same verifier the release then runs
-        // on; on failure the reservation drops below and refunds: a record
-        // that is not a contextual outlier consumed no privacy budget.
-        let detector = request.detector.build();
-        let utility = PopulationSizeUtility;
-        let mut builder = ReleaseSession::builder(entry.dataset(), detector.as_ref(), &utility)
-            .pool(Arc::clone(pool))
-            .trace_context(telemetry.clone(), trace, Some(parent));
-        if let Some(token) = cancel {
-            builder = builder.cancel_token(token.clone());
-        }
-        let mut session = builder.build();
-        let cache_hit = match registry.cached_starting_context(
-            &request.dataset,
-            request.record_id,
-            request.detector,
-        ) {
-            Some(context) => {
-                session.seed_starting_context(request.record_id, context);
-                true
-            }
-            None => false,
-        };
-        // Resolve before releasing so the discovery cost is measurable (see
-        // the batch path); the release reuses the cached resolution.
-        let mut discovery_cost = 0u64;
-        let mut resolve_failure: Option<pcor_core::PcorError> = None;
-        if request.algorithm.needs_starting_context() && !cache_hit {
-            let calls_before = session.stats().verification_calls;
-            match session.resolve_starting_context(request.record_id) {
-                Ok(_) => {
-                    discovery_cost = (session.stats().verification_calls - calls_before) as u64;
-                }
-                Err(err) => resolve_failure = Some(err),
-            }
-        }
-        let config = request.to_config();
-        let outcome = match resolve_failure {
-            Some(err) => Err(err),
-            None => session.release_with_seed(request.record_id, &config, request.seed),
-        };
-        // The engine worked whether or not the release succeeded; record its
-        // verification cost and cache efficiency either way.
-        let session_stats = session.stats();
-        metrics.record_engine(
-            session_stats.verification_calls as u64,
-            session_stats.cache_lookups as u64,
-            session_stats.cache_hits as u64,
-            session_stats.words_scanned,
-        );
-        // Publish a freshly discovered starting context whether or not the
-        // release itself succeeded: the search result is valid and
-        // expensive, and a retry must not pay for it again.
-        if !cache_hit {
-            if let Some(context) = session.starting_context(request.record_id) {
-                registry.store_starting_context(
-                    &request.dataset,
-                    request.record_id,
-                    request.detector,
-                    context.clone(),
-                    discovery_cost,
-                );
-            }
-        }
-        match outcome {
-            Ok(result) => {
-                // Phase 2: the mechanism ran; the spend is now permanent.
-                let remaining = ledger.commit(reservation);
-                let latency = enqueued.elapsed();
-                metrics.record_served(latency);
-                metrics.record_mechanism(result.mechanism);
-                Ok(ReleaseResponse {
-                    analyst: request.analyst,
-                    dataset: request.dataset,
-                    record_id: request.record_id,
-                    predicate: result.context.to_predicate_string(entry.dataset().schema()),
-                    context: result.context,
-                    utility: result.utility,
-                    samples_collected: result.samples_collected,
-                    // The pre-release starting search is this query's work;
-                    // report it with the release's own calls as before.
-                    verification_calls: result.verification_calls + discovery_cost as usize,
-                    guarantee: result.guarantee,
-                    mechanism: result.mechanism,
-                    epsilon_spent: request.epsilon,
-                    remaining_budget: remaining,
-                    cache_hit,
-                    latency,
-                    worker: worker_index,
-                })
-            }
-            Err(pcor_core::PcorError::Cancelled) => {
-                // The verifier stopped between fresh evaluations; no
-                // private draw was published, so the drop of `reservation`
-                // refunds exactly the reserved slice. A tripped deadline
-                // reports as such; an explicit cancel (other token owners)
-                // as Cancelled.
-                drop(reservation);
-                if cancel.is_some_and(|token| token.deadline_exceeded()) {
-                    metrics.record_deadline_exceeded();
-                    Err(ServiceError::DeadlineExceeded)
-                } else {
-                    Err(ServiceError::Cancelled)
-                }
-            }
-            Err(err) => {
-                // The release failed before producing output; the drop of
-                // `reservation` refunds the held ε.
-                drop(reservation);
-                metrics.record_failed();
-                Err(ServiceError::Release(err.to_string()))
-            }
-        }
-    }
-
     /// Spawns the serving task for one admitted envelope.
-    fn dispatch(&self, envelope: RequestEnvelope, slot: InflightSlot) -> PendingResponse {
-        let (reply, receiver) = mpsc::channel();
-        let registry = Arc::clone(&self.registry);
-        let ledger = Arc::clone(&self.ledger);
-        let durable = self.durable.clone();
-        let metrics = Arc::clone(&self.metrics);
-        let pool = Arc::clone(&self.pool);
-        let telemetry = self.telemetry.clone();
-        let faults = self.faults.clone();
-        // An envelope deadline becomes a cancel token the whole serving
-        // path shares; accumulated injected clock skew shortens it, so
-        // chaos runs can force expiry deterministically.
-        let cancel = envelope
-            .deadline()
-            .map(|timeout| CancelToken::deadline_after(timeout.saturating_sub(faults.skew())));
-        // Adopt the client's trace id when the envelope carries one (0 is
-        // reserved for "absent"); mint a fresh one otherwise.
-        let trace = match envelope.trace {
-            Some(id) if id != 0 => TraceId(id),
-            _ => TraceId::next(),
+    fn dispatch(
+        &self,
+        envelope: RequestEnvelope,
+        cancel: Option<CancelToken>,
+        slot: InflightSlot,
+    ) -> PendingResponse {
+        // Capacity 1: the serving task stays at most one finished item
+        // ahead of the consumer, and a consumer that drops the handle makes
+        // the next send fail, which cancels the remaining items.
+        let (events, receiver) = mpsc::sync_channel(1);
+        let task = Task {
+            registry: Arc::clone(&self.registry),
+            ledger: Arc::clone(&self.ledger),
+            durable: self.durable.clone(),
+            metrics: Arc::clone(&self.metrics),
+            pool: Arc::clone(&self.pool),
+            telemetry: self.telemetry.clone(),
+            faults: self.faults.clone(),
+            // Adopt the client's trace id when the envelope carries one (0
+            // is reserved for "absent"); mint a fresh one otherwise.
+            trace: match envelope.trace {
+                Some(id) if id != 0 => TraceId(id),
+                _ => TraceId::next(),
+            },
+            cancel,
+            enqueued: Instant::now(),
+            _slot: slot,
         };
-        let enqueued = Instant::now();
-        self.pool.spawn(move || {
-            // The slot lives for the task's duration; its drop (panic
-            // included) releases capacity and wakes blocked submitters.
-            let _slot = slot;
-            // The service seam: injected latency simulates a slow serving
-            // task (deadline pressure), an injected panic exercises the
-            // refund-on-unwind guarantees.
-            faults.hit(site::SERVICE_RELEASE);
-            // The root span covers the whole serving task; queue wait is
-            // visible as the gap between `enqueued` and the span start.
-            let server_span = telemetry.span(trace, None, "server");
-            let parent = server_span.id();
-            let outcome = if cancel.as_ref().is_some_and(|token| token.is_cancelled()) {
-                // The request sat in the queue past its own deadline:
-                // answer without reserving or touching the dataset.
-                metrics.record_deadline_exceeded();
-                Err(ServiceError::DeadlineExceeded)
-            } else {
-                Self::handle_envelope(
-                    &registry,
-                    &ledger,
-                    &metrics,
-                    &pool,
-                    &telemetry,
-                    trace,
-                    parent,
-                    envelope,
-                    enqueued,
-                    cancel.as_ref(),
-                )
-            };
-            server_span.finish();
-            // A dropped handle is fine; ignore send errors.
-            let _ = reply.send(outcome);
-            // Auto-compaction rides the serving task, after the reply is
-            // already on its way: the analyst never waits on a checkpoint.
-            // A failed checkpoint leaves the existing log intact (replay
-            // just stays long); the next eligible request retries.
-            if let Some(durable) = &durable {
-                let _ = durable.maybe_checkpoint(Some(&registry));
-            }
-            // Cache-capacity autotuning rides here too: every
-            // AUTOTUNE_INTERVAL-th request re-sizes the derived-state
-            // caches from their own hit/eviction counters.
-            let _ = registry.maybe_autotune();
-        });
-        PendingResponse::new(receiver)
+        self.pool.spawn(move || task.run(envelope, &events));
+        PendingResponse { receiver, buffered: VecDeque::new(), done: None }
     }
 
     /// Proactive load shedding: a request that carries a deadline the
@@ -1266,218 +674,59 @@ impl Server {
         Ok(())
     }
 
-    /// Enqueues a raw envelope, blocking while `queue_capacity` requests
-    /// are in flight.
+    /// Enqueues an envelope, blocking while `queue_capacity` requests are
+    /// in flight.
+    ///
+    /// An envelope that fails validation, or whose deadline has already
+    /// passed, is answered on the returned handle without taking an
+    /// in-flight slot.
     ///
     /// # Errors
     /// Returns [`ServiceError::Overloaded`] when the envelope carries a
     /// deadline the estimated queue wait already exceeds, and
     /// [`ServiceError::Shutdown`] after [`shutdown`](Server::shutdown).
     pub fn submit_envelope(&self, envelope: RequestEnvelope) -> Result<PendingResponse> {
-        if !self.accepting.load(Ordering::Acquire) {
-            return Err(ServiceError::Shutdown);
-        }
-        self.shed_if_doomed(&envelope)?;
-        let slot = self.inflight.acquire(self.queue_capacity);
-        Ok(self.dispatch(envelope, slot))
+        self.admit(envelope, |inflight, capacity| Ok(inflight.acquire(capacity)))
     }
 
-    /// Enqueues a raw envelope without blocking.
-    ///
-    /// # Errors
-    /// Returns [`ServiceError::QueueFull`] when `queue_capacity` requests
-    /// are in flight, [`ServiceError::Overloaded`] when the envelope
-    /// carries a deadline the estimated queue wait already exceeds, and
-    /// [`ServiceError::Shutdown`] after [`shutdown`](Server::shutdown).
-    pub fn try_submit_envelope(&self, envelope: RequestEnvelope) -> Result<PendingResponse> {
-        if !self.accepting.load(Ordering::Acquire) {
-            return Err(ServiceError::Shutdown);
-        }
-        self.shed_if_doomed(&envelope)?;
-        let slot = self.inflight.try_acquire(self.queue_capacity).ok_or(ServiceError::QueueFull)?;
-        Ok(self.dispatch(envelope, slot))
-    }
-
-    /// Enqueues a single-record request, blocking while the server is at
-    /// capacity.
-    ///
-    /// # Errors
-    /// Returns [`ServiceError::Shutdown`] after
-    /// [`shutdown`](Server::shutdown).
-    pub fn submit(&self, request: ReleaseRequest) -> Result<PendingRelease> {
-        Ok(PendingRelease { inner: self.submit_envelope(RequestEnvelope::single(request))? })
-    }
-
-    /// Enqueues a single-record request without blocking.
-    ///
-    /// # Errors
-    /// Returns [`ServiceError::QueueFull`] when the server is at capacity
-    /// and [`ServiceError::Shutdown`] after [`shutdown`](Server::shutdown).
-    pub fn try_submit(&self, request: ReleaseRequest) -> Result<PendingRelease> {
-        Ok(PendingRelease { inner: self.try_submit_envelope(RequestEnvelope::single(request))? })
-    }
-
-    /// Enqueues a batch, blocking while the server is at capacity. The
-    /// whole batch occupies one in-flight slot and is served by one task on
-    /// one shared session.
-    ///
-    /// # Errors
-    /// Returns [`ServiceError::Shutdown`] after
-    /// [`shutdown`](Server::shutdown).
-    pub fn submit_batch(&self, batch: BatchReleaseRequest) -> Result<PendingBatch> {
-        Ok(PendingBatch { inner: self.submit_envelope(RequestEnvelope::batch(batch))? })
-    }
-
-    /// Enqueues a batch without blocking.
-    ///
-    /// # Errors
-    /// Returns [`ServiceError::QueueFull`] when the server is at capacity
-    /// and [`ServiceError::Shutdown`] after [`shutdown`](Server::shutdown).
-    pub fn try_submit_batch(&self, batch: BatchReleaseRequest) -> Result<PendingBatch> {
-        Ok(PendingBatch { inner: self.try_submit_envelope(RequestEnvelope::batch(batch))? })
-    }
-
-    /// Enqueues a batch whose item results stream back incrementally —
-    /// each item surfaces on the returned [`BatchStream`] as soon as it
-    /// finishes, instead of after the whole batch. ε accounting is
-    /// identical to [`Server::submit_batch`]: one summed-ε reservation up
-    /// front (refused whole if over budget), per-item refunds resolved in
-    /// the final summary.
-    ///
-    /// Blocks while the server is at capacity (the stream occupies one
-    /// in-flight slot until its final summary is produced).
-    ///
-    /// # Errors
-    /// Returns [`ServiceError::InvalidRequest`] for malformed batches
-    /// (validated before admission) and [`ServiceError::Shutdown`] after
-    /// [`shutdown`](Server::shutdown).
-    pub fn submit_batch_streaming(&self, batch: BatchReleaseRequest) -> Result<BatchStream> {
-        if !self.accepting.load(Ordering::Acquire) {
-            return Err(ServiceError::Shutdown);
-        }
-        batch.validate()?;
-        let slot = self.inflight.acquire(self.queue_capacity);
-        Ok(self.dispatch_batch_streaming(batch, slot, None, None))
-    }
-
-    /// [`Server::submit_batch_streaming`] without blocking — the network
+    /// [`Server::submit_envelope`] without blocking — the network
     /// reactor's admission path, which must refuse rather than park.
     ///
     /// # Errors
     /// Returns [`ServiceError::QueueFull`] when `queue_capacity` requests
-    /// are in flight, plus everything
-    /// [`Server::submit_batch_streaming`] returns.
-    pub fn try_submit_batch_streaming(&self, batch: BatchReleaseRequest) -> Result<BatchStream> {
-        if !self.accepting.load(Ordering::Acquire) {
-            return Err(ServiceError::Shutdown);
-        }
-        batch.validate()?;
-        let slot = self.inflight.try_acquire(self.queue_capacity).ok_or(ServiceError::QueueFull)?;
-        Ok(self.dispatch_batch_streaming(batch, slot, None, None))
+    /// are in flight, plus everything [`Server::submit_envelope`] returns.
+    pub fn try_submit_envelope(&self, envelope: RequestEnvelope) -> Result<PendingResponse> {
+        self.admit(envelope, |inflight, capacity| {
+            inflight.try_acquire(capacity).ok_or(ServiceError::QueueFull)
+        })
     }
 
-    /// Non-blocking envelope admission for the network front: single
-    /// requests resolve like [`Server::try_submit_envelope`], batches get
-    /// the streaming treatment so items can be written to the wire as they
-    /// finish. The envelope is validated (version range included) and
-    /// shed-checked up front; a batch envelope's `deadline_ms` becomes the
-    /// serving task's cancel token exactly as on the single path.
-    ///
-    /// # Errors
-    /// Returns [`ServiceError::QueueFull`] at capacity,
-    /// [`ServiceError::Overloaded`] when the backlog already dooms the
-    /// deadline, [`ServiceError::UnsupportedProtocol`] /
-    /// [`ServiceError::InvalidRequest`] for malformed envelopes, and
-    /// [`ServiceError::Shutdown`] after [`shutdown`](Server::shutdown).
-    pub fn try_submit_envelope_streaming(
+    /// The one admission path: shed, answer past-due and malformed
+    /// envelopes on the spot, then take a slot via `acquire` and dispatch.
+    fn admit(
         &self,
         envelope: RequestEnvelope,
-    ) -> Result<EnvelopeSubmission> {
+        acquire: impl FnOnce(&Arc<Inflight>, usize) -> Result<InflightSlot>,
+    ) -> Result<PendingResponse> {
         if !self.accepting.load(Ordering::Acquire) {
             return Err(ServiceError::Shutdown);
         }
-        envelope.validate()?;
         self.shed_if_doomed(&envelope)?;
-        let version = envelope.v;
-        match envelope.body {
-            RequestBody::Single(_) => {
-                let slot = self
-                    .inflight
-                    .try_acquire(self.queue_capacity)
-                    .ok_or(ServiceError::QueueFull)?;
-                Ok(EnvelopeSubmission::Single(self.dispatch(envelope, slot)))
-            }
-            RequestBody::Batch(batch) => {
-                let cancel = envelope.deadline_ms.map(Duration::from_millis).map(|timeout| {
-                    CancelToken::deadline_after(timeout.saturating_sub(self.faults.skew()))
-                });
-                let trace = envelope.trace.filter(|&id| id != 0).map(TraceId);
-                let slot = self
-                    .inflight
-                    .try_acquire(self.queue_capacity)
-                    .ok_or(ServiceError::QueueFull)?;
-                let stream = self.dispatch_batch_streaming(batch, slot, cancel, trace);
-                Ok(EnvelopeSubmission::Stream { version, stream })
-            }
+        // An envelope deadline becomes a cancel token the whole serving
+        // path shares; accumulated injected clock skew shortens it, so
+        // chaos runs can force expiry deterministically.
+        let cancel = envelope
+            .deadline()
+            .map(|timeout| CancelToken::deadline_after(timeout.saturating_sub(self.faults.skew())));
+        if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            self.metrics.record_deadline_exceeded();
+            return Ok(PendingResponse::answered(Err(ServiceError::DeadlineExceeded)));
         }
-    }
-
-    /// Spawns the serving task for one admitted streaming batch.
-    fn dispatch_batch_streaming(
-        &self,
-        batch: BatchReleaseRequest,
-        slot: InflightSlot,
-        cancel: Option<CancelToken>,
-        trace: Option<TraceId>,
-    ) -> BatchStream {
-        // Capacity 1: the serving task stays at most one finished item
-        // ahead of the consumer, and a consumer that drops the stream makes
-        // the next send fail, which cancels the remaining items.
-        let (events, receiver) = mpsc::sync_channel::<StreamEvent>(1);
-        let registry = Arc::clone(&self.registry);
-        let ledger = Arc::clone(&self.ledger);
-        let durable = self.durable.clone();
-        let metrics = Arc::clone(&self.metrics);
-        let pool = Arc::clone(&self.pool);
-        let telemetry = self.telemetry.clone();
-        let trace = trace.unwrap_or_else(TraceId::next);
-        let enqueued = Instant::now();
-        self.pool.spawn(move || {
-            let _slot = slot;
-            let worker_index = pool.current_worker().unwrap_or(0);
-            let item_events = events.clone();
-            let server_span = telemetry.span(trace, None, "server");
-            let parent = server_span.id();
-            let summary = if cancel.as_ref().is_some_and(|token| token.is_cancelled()) {
-                // Queued past its own deadline: answer without reserving.
-                metrics.record_deadline_exceeded();
-                Err(ServiceError::DeadlineExceeded)
-            } else {
-                Self::handle_batch(
-                    worker_index,
-                    &registry,
-                    &ledger,
-                    &metrics,
-                    &pool,
-                    &telemetry,
-                    trace,
-                    parent,
-                    batch,
-                    enqueued,
-                    cancel.as_ref(),
-                    move |item| item_events.send(StreamEvent::Item(item.clone())).is_ok(),
-                )
-            };
-            server_span.finish();
-            let _ = events.send(StreamEvent::Done(summary));
-            // Same post-reply auto-compaction and autotuning as the
-            // dispatch path.
-            if let Some(durable) = &durable {
-                let _ = durable.maybe_checkpoint(Some(&registry));
-            }
-            let _ = registry.maybe_autotune();
-        });
-        BatchStream { receiver, buffered: VecDeque::new(), done: None }
+        if let Err(err) = envelope.validate() {
+            return Ok(PendingResponse::answered(Err(err)));
+        }
+        let slot = acquire(&self.inflight, self.queue_capacity)?;
+        Ok(self.dispatch(envelope, cancel, slot))
     }
 
     /// Submits a single-record request and blocks for its response.
@@ -1485,7 +734,9 @@ impl Server {
     /// # Errors
     /// Propagates submission and release errors.
     pub fn execute(&self, request: ReleaseRequest) -> Result<ReleaseResponse> {
-        self.submit(request)?.wait()
+        self.submit_envelope(RequestEnvelope::single(request))?.wait()?.into_single().ok_or_else(
+            || ServiceError::InvalidRequest("protocol violation: batch answer to a single".into()),
+        )
     }
 
     /// Submits a batch and blocks for its response.
@@ -1494,7 +745,9 @@ impl Server {
     /// Propagates submission errors and whole-batch refusals (per-item
     /// failures are reported inside the response).
     pub fn execute_batch(&self, batch: BatchReleaseRequest) -> Result<BatchReleaseResponse> {
-        self.submit_batch(batch)?.wait()
+        self.submit_envelope(RequestEnvelope::batch(batch))?.wait()?.into_batch().ok_or_else(|| {
+            ServiceError::InvalidRequest("protocol violation: single answer to a batch".into())
+        })
     }
 
     /// The registry the server serves from.
@@ -1587,6 +840,309 @@ impl std::fmt::Debug for Server {
             .field("registry", &self.registry)
             .field("metrics", &self.metrics())
             .finish()
+    }
+}
+
+/// One admitted envelope's serving task, moved onto a pool worker.
+struct Task {
+    registry: Arc<DatasetRegistry>,
+    ledger: Arc<BudgetLedger>,
+    durable: Option<Arc<DurableLedger>>,
+    metrics: Arc<ServerMetrics>,
+    pool: Arc<ThreadPool>,
+    telemetry: Telemetry,
+    faults: Faults,
+    trace: TraceId,
+    /// Present when the envelope carried a deadline; checked by the
+    /// verifier before every fresh evaluation.
+    cancel: Option<CancelToken>,
+    enqueued: Instant,
+    /// Held for the task's duration; its drop (panic included) releases
+    /// capacity and wakes blocked submitters.
+    _slot: InflightSlot,
+}
+
+impl Task {
+    /// Serves the envelope, sends its events, then runs the post-reply
+    /// housekeeping.
+    fn run(self, envelope: RequestEnvelope, events: &mpsc::SyncSender<Event>) {
+        // The service seam: injected latency simulates a slow serving
+        // task (deadline pressure), an injected panic exercises the
+        // refund-on-unwind guarantees.
+        self.faults.hit(site::SERVICE_RELEASE);
+        // The root span covers the whole serving task; queue wait is
+        // visible as the gap between `enqueued` and the span start.
+        let server_span = self.telemetry.span(self.trace, None, "server");
+        let reply = if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            // The request sat in the queue past its own deadline: answer
+            // without reserving or touching the dataset.
+            self.metrics.record_deadline_exceeded();
+            Err(ServiceError::DeadlineExceeded)
+        } else {
+            self.serve(server_span.id(), envelope, |item| {
+                events.send(Event::Item(item.clone())).is_ok()
+            })
+        };
+        server_span.finish();
+        // A dropped handle is fine; ignore send errors.
+        let _ = events.send(Event::Done(reply));
+        // Auto-compaction rides the serving task, after the reply is
+        // already on its way: the analyst never waits on a checkpoint. A
+        // failed checkpoint leaves the existing log intact (replay just
+        // stays long); the next eligible request retries.
+        if let Some(durable) = &self.durable {
+            let _ = durable.maybe_checkpoint(Some(&self.registry));
+        }
+        // Cache-capacity autotuning rides here too: every
+        // AUTOTUNE_INTERVAL-th request re-sizes the derived-state caches
+        // from their own hit/eviction counters.
+        let _ = self.registry.maybe_autotune();
+    }
+
+    /// Serves one validated envelope on the calling pool worker, a single
+    /// as a one-item batch: one summed-ε reservation, one shared
+    /// (pool-attached) release session, per-item resolution and one
+    /// partial commit. `parent` (the root "server" span) threads causality
+    /// down into the ledger, session and verifier spans. `sink` observes
+    /// each finished batch item in order (singles emit none); returning
+    /// `false` cancels the remaining items, whose ε slices are refunded
+    /// with the failed items' — the dropped-consumer semantics.
+    fn serve(
+        &self,
+        parent: SpanId,
+        envelope: RequestEnvelope,
+        mut sink: impl FnMut(&BatchItemResponse) -> bool,
+    ) -> Result<ResponseEnvelope> {
+        let worker = self.pool.current_worker().unwrap_or(0);
+        let (batch, single) = match envelope.body {
+            RequestBody::Single(request) => (BatchReleaseRequest::from(request), true),
+            RequestBody::Batch(batch) => (batch, false),
+        };
+        let entry = self.registry.get(&batch.dataset)?;
+        // Refuse the whole request before any work when an item is
+        // malformed: partial-failure semantics apply to *release*
+        // failures, not to requests the analyst could have validated
+        // locally.
+        for item in &batch.items {
+            if item.record_id >= entry.dataset().len() {
+                return Err(ServiceError::InvalidRequest(format!(
+                    "record {} out of range for dataset `{}` of {} records",
+                    item.record_id,
+                    batch.dataset,
+                    entry.dataset().len()
+                )));
+            }
+        }
+
+        // Phase 1: one reservation for the summed ε, before any work. A
+        // request the analyst's remaining budget cannot cover is refused
+        // whole: once an analyst's ε is gone, the server answers nothing
+        // more about that dataset.
+        let total_epsilon = batch.total_epsilon();
+        let mechanism = Server::mechanism_name(batch.mechanism.unwrap_or_default());
+        let reserve_outcome = {
+            let _reserve_span = self.telemetry.span(self.trace, Some(parent), "ledger.reserve");
+            self.ledger.reserve_traced(
+                &batch.analyst,
+                &batch.dataset,
+                total_epsilon,
+                self.trace.0,
+                Some(mechanism.to_string()),
+            )
+        };
+        let reservation = reserve_outcome.inspect_err(|err| {
+            if matches!(err, ServiceError::BudgetExhausted { .. }) {
+                self.metrics.record_refused();
+            }
+        })?;
+
+        // One session for the whole request: the detector is built once,
+        // every record's memoized verifier is shared across items, and the
+        // server's resident pool backs the engine's sharded passes.
+        let detector = batch.detector.build();
+        let utility = PopulationSizeUtility;
+        let mut builder = ReleaseSession::builder(entry.dataset(), detector.as_ref(), &utility)
+            .pool(Arc::clone(&self.pool))
+            .trace_context(self.telemetry.clone(), self.trace, Some(parent));
+        if let Some(token) = &self.cancel {
+            builder = builder.cancel_token(token.clone());
+        }
+        let mut session = builder.build();
+        let needs_start = batch.algorithm.needs_starting_context();
+
+        let mut items: Vec<BatchItemResponse> = Vec::with_capacity(batch.items.len());
+        let mut committed = 0.0f64;
+        // Set when the cancel token trips: the item it caught and every
+        // later one are skipped, and their ε slices stay in the
+        // reservation for the refund below — no private draw was
+        // published for them.
+        let mut cancelled = false;
+        for item in &batch.items {
+            if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+                cancelled = true;
+                break;
+            }
+            // Warm the session from the cross-request registry cache; on a
+            // session-side miss the search runs on the item's verifier and
+            // the result is published back (weighted by its discovery
+            // cost) for future requests.
+            let mut cache_hit = session.starting_context(item.record_id).is_some();
+            if !cache_hit {
+                if let Some(context) = self.registry.cached_starting_context(
+                    &batch.dataset,
+                    item.record_id,
+                    batch.detector,
+                ) {
+                    session.seed_starting_context(item.record_id, context);
+                    cache_hit = true;
+                }
+            }
+            // Resolve the starting context before the release so the
+            // discovery cost (fresh f_M calls) is measurable in isolation;
+            // the release reuses the cached result, so nothing is computed
+            // twice. A resolve failure fails the item with exactly the
+            // error the release itself would have produced.
+            let mut discovery_cost = 0u64;
+            let mut resolve_failure: Option<pcor_core::PcorError> = None;
+            if needs_start && !cache_hit {
+                let calls_before = session.stats().verification_calls;
+                match session.resolve_starting_context(item.record_id) {
+                    Ok(_) => {
+                        discovery_cost = (session.stats().verification_calls - calls_before) as u64;
+                    }
+                    Err(err) => resolve_failure = Some(err),
+                }
+            }
+            let config = batch.item_config(item);
+            let result = match resolve_failure {
+                Some(err) => Err(err),
+                None => session.release_with_seed(item.record_id, &config, item.seed),
+            };
+            // Publish a freshly discovered starting context whether or not
+            // the release itself succeeded: the search result is valid and
+            // expensive, and a retry must not pay for it again.
+            if !cache_hit {
+                if let Some(context) = session.starting_context(item.record_id) {
+                    self.registry.store_starting_context(
+                        &batch.dataset,
+                        item.record_id,
+                        batch.detector,
+                        context.clone(),
+                        discovery_cost,
+                    );
+                }
+            }
+            let outcome = match result {
+                Ok(result) => {
+                    committed += item.epsilon;
+                    self.metrics.record_mechanism(result.mechanism);
+                    ItemOutcome::Released(ItemRelease {
+                        predicate: result.context.to_predicate_string(entry.dataset().schema()),
+                        context: result.context,
+                        utility: result.utility,
+                        samples_collected: result.samples_collected,
+                        // The pre-release starting search is this item's
+                        // work; fold its calls back in so per-item counts
+                        // still sum to the request total.
+                        verification_calls: result.verification_calls + discovery_cost as usize,
+                        guarantee: result.guarantee,
+                        mechanism: result.mechanism,
+                        cache_hit,
+                    })
+                }
+                // The verifier stopped between fresh evaluations.
+                Err(pcor_core::PcorError::Cancelled) => {
+                    cancelled = true;
+                    break;
+                }
+                // The item failed before its mechanism produced output; its
+                // ε slice stays in the reservation and is refunded below.
+                Err(err) => ItemOutcome::Failed { error: err.to_string() },
+            };
+            let response =
+                BatchItemResponse { record_id: item.record_id, epsilon: item.epsilon, outcome };
+            let consumer_alive = single || sink(&response);
+            items.push(response);
+            if !consumer_alive {
+                break;
+            }
+        }
+
+        // Phase 2: commit what the successful items consumed; every failed
+        // and skipped item's slice goes back to the analyst.
+        let remaining = self.ledger.commit_partial(reservation, committed);
+        let latency = self.enqueued.elapsed();
+        let released = items.iter().filter(|item| item.outcome.is_released()).count();
+        self.metrics.record_batch(released as u64, (items.len() - released) as u64, latency);
+        let session_stats = session.stats();
+        self.metrics.record_engine(
+            session_stats.verification_calls as u64,
+            session_stats.cache_lookups as u64,
+            session_stats.cache_hits as u64,
+            session_stats.words_scanned,
+        );
+        // A tripped deadline counts once per request; an explicit cancel
+        // (other token owners) is not a deadline.
+        let deadline_exceeded =
+            cancelled && self.cancel.as_ref().is_some_and(CancelToken::deadline_exceeded);
+        if deadline_exceeded {
+            self.metrics.record_deadline_exceeded();
+        }
+        let response = BatchReleaseResponse {
+            analyst: batch.analyst,
+            dataset: batch.dataset,
+            verification_calls: session_stats.verification_calls,
+            items,
+            epsilon_committed: committed,
+            epsilon_refunded: total_epsilon - committed,
+            remaining_budget: remaining,
+            latency,
+            worker,
+        };
+        // Echo the request's (validated) protocol version so a client
+        // pinned to v1 never receives a response stamped v2.
+        let reply = if single {
+            ResponseEnvelope::single(Self::single_response(response, deadline_exceeded)?)
+        } else {
+            ResponseEnvelope::batch(response)
+        };
+        Ok(reply.at_version(envelope.v))
+    }
+
+    /// Shapes a one-item batch's response into the single-release reply:
+    /// the released item, or its failure as the request's error. No item
+    /// means it was cancelled.
+    fn single_response(
+        batch: BatchReleaseResponse,
+        deadline_exceeded: bool,
+    ) -> Result<ReleaseResponse> {
+        let Some(item) = batch.items.into_iter().next() else {
+            return Err(if deadline_exceeded {
+                ServiceError::DeadlineExceeded
+            } else {
+                ServiceError::Cancelled
+            });
+        };
+        match item.outcome {
+            ItemOutcome::Released(release) => Ok(ReleaseResponse {
+                analyst: batch.analyst,
+                dataset: batch.dataset,
+                record_id: item.record_id,
+                context: release.context,
+                predicate: release.predicate,
+                utility: release.utility,
+                samples_collected: release.samples_collected,
+                verification_calls: release.verification_calls,
+                guarantee: release.guarantee,
+                mechanism: release.mechanism,
+                epsilon_spent: item.epsilon,
+                remaining_budget: batch.remaining_budget,
+                cache_hit: release.cache_hit,
+                latency: batch.latency,
+                worker: batch.worker,
+            }),
+            ItemOutcome::Failed { error } => Err(ServiceError::Release(error)),
+        }
     }
 }
 
@@ -1758,11 +1314,14 @@ mod tests {
     fn concurrent_submissions_all_resolve() {
         let server = toy_server(100.0, 4);
         let pending: Vec<_> = (0..20)
-            .map(|seed| server.submit(toy_request(&format!("analyst-{}", seed % 3), seed)).unwrap())
+            .map(|seed| {
+                let request = toy_request(&format!("analyst-{}", seed % 3), seed);
+                server.submit_envelope(RequestEnvelope::single(request)).unwrap()
+            })
             .collect();
         let mut workers_seen = std::collections::HashSet::new();
         for handle in pending {
-            let response = handle.wait().unwrap();
+            let response = handle.wait().unwrap().into_single().unwrap();
             workers_seen.insert(response.worker);
         }
         assert_eq!(server.metrics().served, 20);
@@ -1775,14 +1334,15 @@ mod tests {
     #[test]
     fn pending_handles_report_completion_without_blocking() {
         let server = toy_server(10.0, 1);
-        let mut handle = server.submit(toy_request("alice", 5)).unwrap();
+        let mut handle =
+            server.submit_envelope(RequestEnvelope::single(toy_request("alice", 5))).unwrap();
         // Wait for completion via polling only.
         let started = Instant::now();
         while !handle.is_finished() {
             assert!(started.elapsed().as_secs() < 30, "request never completed");
             std::thread::yield_now();
         }
-        let response = handle.wait().unwrap();
+        let response = handle.wait().unwrap().into_single().unwrap();
         assert_eq!(response.record_id, 0);
     }
 
@@ -1792,14 +1352,11 @@ mod tests {
         server.execute(toy_request("alice", 1)).unwrap();
         server.shutdown();
         server.shutdown();
-        assert!(matches!(server.submit(toy_request("alice", 2)), Err(ServiceError::Shutdown)));
-        assert!(matches!(server.try_submit(toy_request("alice", 3)), Err(ServiceError::Shutdown)));
+        let single = || RequestEnvelope::single(toy_request("alice", 2));
+        assert!(matches!(server.submit_envelope(single()), Err(ServiceError::Shutdown)));
+        assert!(matches!(server.try_submit_envelope(single()), Err(ServiceError::Shutdown)));
         assert!(matches!(
-            server.submit_batch(toy_batch("alice", &[0, 0])),
-            Err(ServiceError::Shutdown)
-        ));
-        assert!(matches!(
-            server.submit_batch_streaming(toy_batch("alice", &[0, 0])),
+            server.submit_envelope(RequestEnvelope::batch(toy_batch("alice", &[0, 0]))),
             Err(ServiceError::Shutdown)
         ));
     }
@@ -1929,12 +1486,12 @@ mod tests {
         let unknown = BatchReleaseRequest { dataset: "nope".into(), ..unknown };
         assert!(matches!(server.execute_batch(unknown), Err(ServiceError::UnknownDataset(_))));
         assert!((server.ledger().remaining("alice", "toy") - 1.0).abs() < 1e-12);
-        // The streaming entry point validates before admission.
+        // Admission validates: the malformed envelope is answered on its
+        // handle without reaching a worker.
         let empty = BatchReleaseRequest::new("alice", "toy").with_detector(DetectorKind::ZScore);
-        assert!(matches!(
-            server.submit_batch_streaming(empty),
-            Err(ServiceError::InvalidRequest(_))
-        ));
+        let mut handle = server.submit_envelope(RequestEnvelope::batch(empty)).unwrap();
+        assert!(handle.is_finished());
+        assert!(matches!(handle.wait(), Err(ServiceError::InvalidRequest(_))));
     }
 
     #[test]
@@ -2027,11 +1584,11 @@ mod tests {
         );
         // A heavy batch occupies the single in-flight slot for a while.
         let slow = toy_batch("alice", &vec![0; 64]);
-        let slow_handle = server.submit_batch(slow).unwrap();
+        let slow_handle = server.submit_envelope(RequestEnvelope::batch(slow)).unwrap();
         let mut queued = Vec::new();
         let mut saw_queue_full = false;
         for seed in 0..10_000 {
-            match server.try_submit(toy_request("bob", seed)) {
+            match server.try_submit_envelope(RequestEnvelope::single(toy_request("bob", seed))) {
                 Ok(handle) => queued.push(handle),
                 Err(ServiceError::QueueFull) => {
                     saw_queue_full = true;
@@ -2051,7 +1608,8 @@ mod tests {
     #[test]
     fn streamed_batches_yield_items_before_the_batch_finishes() {
         let server = toy_server(10.0, 1);
-        let mut stream = server.submit_batch_streaming(toy_batch("alice", &[0, 0, 0])).unwrap();
+        let mut stream =
+            server.submit_envelope(RequestEnvelope::batch(toy_batch("alice", &[0, 0, 0]))).unwrap();
         let first = stream.next_item().expect("a first item must arrive");
         assert_eq!(first.record_id, 0);
         assert!(first.outcome.is_released());
@@ -2064,7 +1622,7 @@ mod tests {
             rest.push(item);
         }
         assert_eq!(rest.len(), 2);
-        let summary = stream.wait().unwrap();
+        let summary = stream.wait().unwrap().into_batch().unwrap();
         assert_eq!(summary.released(), 3);
         assert!((summary.epsilon_committed - 0.6).abs() < 1e-9);
     }
@@ -2074,9 +1632,10 @@ mod tests {
         let streamed_server = toy_server(10.0, 1);
         let blocking_server = toy_server(10.0, 1);
         // Record 1 fails; 0s succeed. Same batch through both paths.
-        let stream =
-            streamed_server.submit_batch_streaming(toy_batch("alice", &[0, 1, 0])).unwrap();
-        let streamed = stream.wait().unwrap();
+        let stream = streamed_server
+            .submit_envelope(RequestEnvelope::batch(toy_batch("alice", &[0, 1, 0])))
+            .unwrap();
+        let streamed = stream.wait().unwrap().into_batch().unwrap();
         let blocking = blocking_server.execute_batch(toy_batch("alice", &[0, 1, 0])).unwrap();
         assert_eq!(streamed.items, blocking.items);
         assert_eq!(streamed.epsilon_committed, blocking.epsilon_committed);
@@ -2092,7 +1651,9 @@ mod tests {
     fn dropping_a_stream_cancels_and_refunds_unprocessed_items() {
         let server = toy_server(10.0, 1);
         {
-            let mut stream = server.submit_batch_streaming(toy_batch("alice", &[0; 16])).unwrap();
+            let mut stream = server
+                .submit_envelope(RequestEnvelope::batch(toy_batch("alice", &[0; 16])))
+                .unwrap();
             // Consume one item, then walk away.
             assert!(stream.next_item().is_some());
         }
@@ -2130,16 +1691,20 @@ mod tests {
         );
         // A heavy batch occupies the single worker long enough for the
         // 1 ms deadline behind it to expire in the queue.
-        let slow = server.submit_batch(toy_batch("alice", &vec![0; 64])).unwrap();
+        let slow = server
+            .submit_envelope(RequestEnvelope::batch(toy_batch("alice", &vec![0; 64])))
+            .unwrap();
         let envelope = RequestEnvelope::single(toy_request("bob", 1)).with_deadline_ms(1);
         let pending = server.submit_envelope(envelope).unwrap();
+        // The batch streams: its worker stays busy until its items are
+        // drained, so drain them first.
+        assert!(slow.wait().is_ok());
         match pending.wait() {
             Err(ServiceError::DeadlineExceeded) => {}
             other => panic!("expected a deadline refusal, got {other:?}"),
         }
         assert!((server.ledger().remaining("bob", "toy") - 1_000.0).abs() < 1e-12);
         assert!(server.metrics().deadline_exceeded >= 1);
-        assert!(slow.wait().is_ok());
         // The scrape reports the lifecycle counter.
         let scrape = server.telemetry().render_prometheus();
         assert!(scrape.contains("pcor_deadline_exceeded_total"), "{scrape}");
@@ -2177,7 +1742,9 @@ mod tests {
         server.execute(toy_request("alice", 1)).unwrap();
         assert!(faults.skew() >= Duration::from_secs(3600));
         // Hold the worker so the in-flight count is nonzero…
-        let slow = server.submit_batch(toy_batch("alice", &vec![0; 64])).unwrap();
+        let slow = server
+            .submit_envelope(RequestEnvelope::batch(toy_batch("alice", &vec![0; 64])))
+            .unwrap();
         // …then a deadlined request is doomed (estimated wait > 0 ≥ the
         // skew-collapsed deadline) and must be shed at admission.
         let envelope = RequestEnvelope::single(toy_request("bob", 2)).with_deadline_ms(1);
@@ -2188,7 +1755,8 @@ mod tests {
             other => panic!("expected an admission shed, got {other:?}"),
         }
         // Deadline-free traffic is never shed.
-        let pending = server.submit(toy_request("carol", 3)).unwrap();
+        let pending =
+            server.submit_envelope(RequestEnvelope::single(toy_request("carol", 3))).unwrap();
         assert!(server.metrics().shed >= 1);
         assert!((server.ledger().remaining("bob", "toy") - 1_000.0).abs() < 1e-12);
         assert!(slow.wait().is_ok());

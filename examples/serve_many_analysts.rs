@@ -67,13 +67,17 @@ fn main() {
                     .with_epsilon(0.2)
                     .with_samples(20)
                     .with_seed(round * 10 + a as u64);
-            pending.push(server.submit(request).expect("server accepts while running"));
+            pending.push(
+                server
+                    .submit_envelope(RequestEnvelope::single(request))
+                    .expect("server accepts while running"),
+            );
         }
     }
 
     let mut refusals = 0usize;
     for handle in pending {
-        match handle.wait() {
+        match handle.wait().map(|reply| reply.into_single().expect("a single's reply")) {
             Ok(response) => println!(
                 "[worker {}] {:<5} spent eps={:.1} -> remaining {:.1} | {:>6.2} ms | cache {} | {}",
                 response.worker,

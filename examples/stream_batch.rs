@@ -2,11 +2,11 @@
 //!
 //! The PR 2 batch endpoint resolved only when the *slowest* item finished —
 //! an analyst submitting 16 queries stared at a blank terminal until the
-//! last search converged. `Server::submit_batch_streaming` keeps the exact
-//! same ε accounting (one summed-ε reservation up front, per-item refunds
-//! in the final summary) but delivers each item's result through a
-//! [`BatchStream`] the moment the serving task finishes it, with the
-//! server computing at most one item ahead of the consumer.
+//! last search converged. `Server::submit_envelope` keeps the exact same
+//! ε accounting (one summed-ε reservation up front, per-item refunds in
+//! the final summary) but delivers each item's result through the
+//! returned [`PendingResponse`] the moment the serving task finishes it,
+//! with the server computing at most one item ahead of the consumer.
 //!
 //! Run with:
 //!
@@ -49,7 +49,8 @@ fn main() {
         );
 
     let submitted = Instant::now();
-    let mut stream = server.submit_batch_streaming(batch).expect("stream accepted");
+    let mut stream =
+        server.submit_envelope(RequestEnvelope::batch(batch)).expect("stream accepted");
     println!("batch of 12 submitted; items stream back as they finish:\n");
     let mut seen = 0usize;
     while let Some(item) = stream.next_item() {
@@ -69,7 +70,7 @@ fn main() {
         }
     }
 
-    let summary = stream.wait().expect("stream summary");
+    let summary = stream.wait().expect("stream summary").into_batch().expect("a batch reply");
     println!(
         "\nsummary: {} released / {} failed, eps committed {:.1}, refunded {:.1}, remaining {:.1}",
         summary.released(),

@@ -136,6 +136,55 @@ fn batch_items_replay_identically_to_singles() {
     assert_eq!(release.utility, single.utility);
 }
 
+/// A single release is a one-item batch: for every mechanism, the same
+/// query sent as a `Single` and as a one-item `Batch` to fresh servers
+/// (same seed, same trace id) releases the same context at the same
+/// utility and cost, commits the same ε and leaves the same audit trail.
+#[test]
+fn a_single_release_is_a_one_item_batch() {
+    for mechanism in
+        [MechanismKind::Exponential, MechanismKind::PermuteAndFlip, MechanismKind::ReportNoisyMax]
+    {
+        let (single_server, _, _, records) = salary_server(1.0, 1);
+        let (batch_server, _, _, _) = salary_server(1.0, 1);
+        let request = ReleaseRequest::new("alice", "salary", records[0])
+            .with_detector(DetectorKind::ZScore)
+            .with_epsilon(0.2)
+            .with_samples(10)
+            .with_seed(41)
+            .with_mechanism(mechanism);
+        let single = single_server
+            .submit_envelope(RequestEnvelope::single(request.clone()).with_trace(5))
+            .unwrap()
+            .wait()
+            .unwrap()
+            .into_single()
+            .unwrap();
+        let batch = batch_server
+            .submit_envelope(
+                RequestEnvelope::batch(BatchReleaseRequest::from(request)).with_trace(5),
+            )
+            .unwrap()
+            .wait()
+            .unwrap()
+            .into_batch()
+            .unwrap();
+        let release = batch.items[0].outcome.released().expect("the outlier releases");
+        assert_eq!(release.context, single.context, "{mechanism:?}");
+        assert_eq!(release.utility, single.utility, "{mechanism:?}");
+        assert_eq!(release.mechanism, mechanism);
+        assert_eq!(release.verification_calls, single.verification_calls, "{mechanism:?}");
+        assert_eq!(batch.verification_calls, single.verification_calls, "{mechanism:?}");
+        assert_eq!(batch.epsilon_committed, single.epsilon_spent, "{mechanism:?}");
+        assert_eq!(batch.remaining_budget, single.remaining_budget, "{mechanism:?}");
+        assert_eq!(
+            batch_server.telemetry().audit().events(),
+            single_server.telemetry().audit().events(),
+            "{mechanism:?}: the audit trails must match event for event"
+        );
+    }
+}
+
 /// Per-item partial failure: failing items refund exactly their ε slice and
 /// the ledger reflects it; the batch's one reservation never blocks the
 /// analyst's other work afterwards.
@@ -227,5 +276,52 @@ fn envelopes_serialize_and_unsupported_versions_are_refused() {
     match server.submit_envelope(wrong_version).unwrap().wait() {
         Err(ServiceError::UnsupportedProtocol { requested: 42, .. }) => {}
         other => panic!("expected a protocol refusal, got {other:?}"),
+    }
+}
+
+/// A deadline that trips inside a batch item's search stops the batch
+/// there: the request counts once as deadline-exceeded, the cancelled item
+/// is dropped from the reply rather than counted as failed, every
+/// unprocessed ε slice is refunded, and the ledger matches the audit fold
+/// with nothing left reserved.
+#[test]
+fn a_batch_deadline_tripping_mid_search_refunds_the_unprocessed_items() {
+    // LOF on 8k records: one item's search takes about a second, far past
+    // the 150 ms deadline.
+    let registry = Arc::new(DatasetRegistry::new());
+    let dataset = salary_dataset(&SalaryConfig::reduced().with_records(8_000)).unwrap();
+    let entry = registry.register("salary", dataset);
+    let record = find_serviceable_outlier(&entry, DetectorKind::ZScore, 400, 3).unwrap();
+    let ledger = Arc::new(BudgetLedger::new(1.0));
+    let server = Server::start(
+        ServerConfig::default().with_workers(1),
+        Arc::clone(&registry),
+        Arc::clone(&ledger),
+    );
+    let batch =
+        BatchReleaseRequest::new("alice", "salary").with_detector(DetectorKind::Lof).with_items(
+            (0..2)
+                .map(|seed| {
+                    BatchItem::new(record).with_epsilon(0.2).with_samples(200).with_seed(seed)
+                })
+                .collect(),
+        );
+    let envelope = RequestEnvelope::batch(batch).with_deadline_ms(150);
+    let response = server.submit_envelope(envelope).unwrap().wait().unwrap().into_batch().unwrap();
+
+    assert!(response.items.is_empty(), "the first item's search outlives the deadline");
+    assert_eq!(response.epsilon_committed, 0.0);
+    assert!((response.epsilon_refunded - 0.4).abs() < 1e-12, "both slices come back");
+    let metrics = server.metrics();
+    assert_eq!(metrics.deadline_exceeded, 1, "a tripped deadline counts once per request");
+    assert_eq!(metrics.failed, 0, "a cancelled item is not a failed one");
+    assert_eq!(ledger.spent("alice", "salary"), 0.0);
+    assert_eq!(ledger.remaining("alice", "salary"), 1.0);
+    let folded = server.telemetry().audit().fold();
+    for entry in ledger.snapshot() {
+        assert_eq!(entry.reserved, 0.0);
+        let account = &folded[&(entry.analyst.clone(), entry.dataset.clone())];
+        assert_eq!(account.committed, entry.spent);
+        assert!(account.outstanding().abs() < 1e-12);
     }
 }

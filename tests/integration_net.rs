@@ -437,6 +437,39 @@ fn oversized_frames_close_the_connection() {
     front.shutdown();
 }
 
+/// The `service.release` fault seam fires once per admitted envelope:
+/// singles and batches alike, in process and over the wire, so chaos
+/// scripts reach every serving task.
+#[test]
+fn the_service_seam_fires_once_per_admitted_envelope() {
+    let registry = Arc::new(DatasetRegistry::new());
+    let dataset = salary_dataset(&SalaryConfig::reduced().with_records(1_500)).unwrap();
+    let entry = registry.register("salary", dataset);
+    let record = find_serviceable_outlier(&entry, DetectorKind::ZScore, 400, 3).unwrap();
+    let faults = FaultPlan::seeded(0).build();
+    let server = Arc::new(Server::start(
+        ServerConfig::default().with_workers(1).with_faults(faults.clone()),
+        registry,
+        Arc::new(BudgetLedger::new(10.0)),
+    ));
+    let front = NetFront::bind(NetConfig::default(), Arc::clone(&server)).unwrap();
+    let mut client = NetClient::connect(front.rpc_addr()).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+
+    let replies = client.call(&single("alice", record, 0.1, 1)).unwrap();
+    assert!(matches!(replies.last(), Some(WireReply::Response(_))));
+    assert_eq!(faults.hits(site::SERVICE_RELEASE), 1, "a single over the wire");
+    let replies = client.call(&batch(&[record], 3, 0.1, 4)).unwrap();
+    assert!(matches!(replies.last(), Some(WireReply::Response(_))));
+    assert_eq!(faults.hits(site::SERVICE_RELEASE), 2, "a streamed batch over the wire");
+    let request = ReleaseRequest::new("bob", "salary", record)
+        .with_detector(DetectorKind::ZScore)
+        .with_samples(4);
+    server.execute_batch(BatchReleaseRequest::from(request)).unwrap();
+    assert_eq!(faults.hits(site::SERVICE_RELEASE), 3, "an in-process batch");
+    front.shutdown();
+}
+
 #[test]
 fn healthz_and_metrics_serve_over_http() {
     let server = tiny_server();

@@ -40,12 +40,15 @@ fn request(analyst: &str, record: usize, seed: u64) -> ReleaseRequest {
 #[test]
 fn ledger_never_over_spends_under_concurrent_load() {
     let (server, _registry, ledger, record) = salary_server(0.5, 4);
-    let pending: Vec<_> =
-        (0..24).map(|seed| server.submit(request("alice", record, seed)).unwrap()).collect();
+    let pending: Vec<_> = (0..24)
+        .map(|seed| {
+            server.submit_envelope(RequestEnvelope::single(request("alice", record, seed))).unwrap()
+        })
+        .collect();
     let mut served = 0usize;
     let mut refused = 0usize;
     for handle in pending {
-        match handle.wait() {
+        match handle.wait().map(|reply| reply.into_single().unwrap()) {
             Ok(response) => {
                 served += 1;
                 assert!(response.remaining_budget >= -1e-9);

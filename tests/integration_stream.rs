@@ -44,7 +44,7 @@ fn mixed_batch(records: &[usize], epsilon: f64) -> BatchReleaseRequest {
 }
 
 /// The ISSUE's streaming acceptance scenario: a batch submitted through
-/// `BatchStream` yields its first completed item strictly before the batch
+/// a `PendingResponse` yields its first completed item strictly before the batch
 /// finishes, and the final summary's ε accounting matches the blocking
 /// batch protocol item for item.
 #[test]
@@ -53,7 +53,8 @@ fn streamed_batches_yield_early_and_account_like_blocking_batches() {
     let (block_server, _, block_ledger, block_records) = salary_server(100.0, 1);
     assert_eq!(records, block_records, "both servers must see the same workload");
 
-    let mut stream = stream_server.submit_batch_streaming(mixed_batch(&records, 0.1)).unwrap();
+    let mut stream =
+        stream_server.submit_envelope(RequestEnvelope::batch(mixed_batch(&records, 0.1))).unwrap();
     let first = stream.next_item().expect("the stream must yield a first item");
     assert!(first.outcome.is_released(), "the first mixed item queries a genuine outlier");
     // The event channel is bounded at one item, so when the consumer holds
@@ -65,7 +66,7 @@ fn streamed_batches_yield_early_and_account_like_blocking_batches() {
     while let Some(item) = stream.next_item() {
         streamed_items.push(item);
     }
-    let streamed = stream.wait().expect("stream summary");
+    let streamed = stream.wait().expect("stream summary").into_batch().unwrap();
 
     let blocking = block_server.execute_batch(mixed_batch(&records, 0.1)).expect("blocking batch");
 
@@ -94,7 +95,8 @@ fn streamed_batches_yield_early_and_account_like_blocking_batches() {
 fn streamed_batches_respect_the_summed_epsilon_reservation() {
     let (server, registry, ledger, records) = salary_server(0.5, 1);
     // 6 x 0.1 = 0.6 > 0.5: refused whole.
-    let stream = server.submit_batch_streaming(mixed_batch(&records, 0.1)).unwrap();
+    let stream =
+        server.submit_envelope(RequestEnvelope::batch(mixed_batch(&records, 0.1))).unwrap();
     match stream.wait() {
         Err(ServiceError::BudgetExhausted { requested, remaining, .. }) => {
             assert!((requested - 0.6).abs() < 1e-9);
