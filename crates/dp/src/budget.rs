@@ -157,8 +157,9 @@ pub struct BudgetAccountant {
     spent: f64,
     reserved: f64,
     /// Reservations not yet resolved. `reserved` is a running float sum,
-    /// so it is reset to exactly `0.0` when the last one resolves instead
-    /// of keeping the rounding residue of the additions and subtractions.
+    /// so it is reset to exactly `0.0` when the last one resolves in full
+    /// instead of keeping the rounding residue of the additions and
+    /// subtractions.
     open: usize,
 }
 
@@ -236,20 +237,18 @@ impl BudgetAccountant {
         Ok(())
     }
 
-    /// Resolves one open reservation of `epsilon` into a permanent spend
-    /// (the release consumed its privacy budget).
+    /// Converts `epsilon` of reserved budget into a permanent spend (the
+    /// release consumed its privacy budget).
     ///
     /// # Errors
-    /// Returns [`DpError::InvalidEpsilon`] if no reservation is open or
-    /// `epsilon` exceeds the currently reserved amount (protocol
-    /// violations) or is non-positive.
+    /// Returns [`DpError::InvalidEpsilon`] if `epsilon` exceeds the currently
+    /// reserved amount (a protocol violation) or is non-positive.
     pub fn commit(&mut self, epsilon: f64) -> Result<()> {
         self.settle(epsilon, epsilon)
     }
 
-    /// Resolves one open reservation of `epsilon` by returning it to the
-    /// pool (the release failed before invoking any mechanism, so no
-    /// privacy was consumed).
+    /// Returns `epsilon` of reserved budget to the pool (the release failed
+    /// before invoking any mechanism, so no privacy was consumed).
     ///
     /// # Errors
     /// As [`commit`](BudgetAccountant::commit).
@@ -257,25 +256,31 @@ impl BudgetAccountant {
         self.settle(epsilon, 0.0)
     }
 
-    /// Resolves one open reservation of `epsilon`: `spend` of it becomes a
-    /// permanent spend and the rest returns to the pool (a batch whose
-    /// failed items refund their slices).
+    /// Resolves `epsilon` of reserved budget at once: `spend` of it
+    /// becomes a permanent spend and the rest returns to the pool (a batch
+    /// whose failed items refund their slices). Resolving one whole
+    /// reservation this way closes it, exactly like
+    /// [`commit`](BudgetAccountant::commit) or
+    /// [`refund`](BudgetAccountant::refund) of its amount.
     ///
     /// # Errors
     /// As [`commit`](BudgetAccountant::commit), plus
     /// [`DpError::InvalidEpsilon`] when `spend` is outside `[0, epsilon]`.
     pub fn settle(&mut self, epsilon: f64, spend: f64) -> Result<()> {
         validate_epsilon(epsilon)?;
-        if self.open == 0 || epsilon > self.reserved + 1e-12 {
+        if epsilon > self.reserved + 1e-12 {
             return Err(DpError::InvalidEpsilon(epsilon));
         }
         if !(0.0..=epsilon).contains(&spend) {
             return Err(DpError::InvalidEpsilon(spend));
         }
-        self.open -= 1;
-        // Clamp to zero so repeated float subtraction cannot drift
-        // negative, and drop the rounding residue once nothing is held.
-        self.reserved = if self.open == 0 { 0.0 } else { (self.reserved - epsilon).max(0.0) };
+        self.open = self.open.saturating_sub(1);
+        let left = self.reserved - epsilon;
+        // Once the last open reservation resolves in full, drop the
+        // rounding residue of the running sum. A resolution of less than
+        // what is held (a partial commit) keeps the rest reserved; clamp
+        // to zero so repeated float subtraction cannot drift negative.
+        self.reserved = if self.open == 0 && left.abs() <= 1e-12 { 0.0 } else { left.max(0.0) };
         self.spent += spend;
         Ok(())
     }
@@ -452,9 +457,18 @@ mod tests {
         acct.settle(0.1, 0.0).unwrap();
         assert_eq!(acct.reserved(), 0.0);
         assert!((acct.spent() - 0.4).abs() < 1e-12);
-        assert!(acct.settle(0.1, 0.0).is_err(), "nothing is open");
+        assert!(acct.settle(0.1, 0.0).is_err(), "nothing is reserved");
         acct.reserve(0.1).unwrap();
         assert!(acct.settle(0.1, 0.2).is_err(), "cannot spend more than the reservation");
+        acct.refund(0.1).unwrap();
+        // A partial commit of the only reservation keeps the rest reserved.
+        acct.reserve(0.4).unwrap();
+        acct.commit(0.2).unwrap();
+        assert!((acct.reserved() - 0.2).abs() < 1e-12);
+        assert!((acct.remaining() - 0.2).abs() < 1e-12);
+        acct.commit(0.2).unwrap();
+        assert_eq!(acct.reserved(), 0.0);
+        assert!((acct.spent() - 0.8).abs() < 1e-12);
     }
 
     #[test]

@@ -22,12 +22,15 @@
 //!
 //! There is one serving path: a single [`ReleaseRequest`] is served as a
 //! one-item batch. A batch's items surface on the handle **as they
-//! finish** ([`PendingResponse::next_item`]): the serving task pushes them
-//! through a bounded channel (capacity 1, so the server computes at most
-//! one item ahead of the consumer — streaming back-pressure), then the
-//! terminal reply. A single emits no item events, only its reply.
-//! Dropping the handle cancels a batch's unprocessed items and refunds
-//! their ε slices.
+//! finish** ([`PendingResponse::next_item`]) through a channel that holds
+//! one item: once the handle asks for an item, the serving task waits for
+//! room before each send, so the server computes at most one item ahead
+//! of the consumer (streaming back-pressure). Until then it never waits —
+//! items that find the channel full stay in the summary — so a handle
+//! that is only waited on never holds its worker. The terminal reply
+//! never waits either. A single emits no items, only its reply. Dropping
+//! the handle cancels a batch's unprocessed items and refunds their ε
+//! slices.
 //!
 //! Budget safety under concurrency comes from the ledger's two-phase
 //! protocol: a task *reserves* the **sum** of the items' ε — refused whole
@@ -45,8 +48,8 @@
 //!
 //! A v2 envelope may carry a deadline (`deadline_ms`); it becomes a
 //! [`pcor_core::cancel::CancelToken`] the whole serving path shares. A
-//! request already past its deadline at admission or when a worker picks
-//! it up is answered [`ServiceError::DeadlineExceeded`] without reserving;
+//! request already past its deadline when a worker picks it up is
+//! answered [`ServiceError::DeadlineExceeded`] without reserving;
 //! one cancelled mid-release stops within a single verification call (the
 //! verifier checks the token before every fresh evaluation). The
 //! cancelled item and every item after it are dropped from the reply and
@@ -68,7 +71,7 @@ use crate::metrics::{ServerMetrics, ServerMetricsSnapshot};
 use crate::registry::{CacheStats, DatasetRegistry};
 use crate::request::{
     BatchItemResponse, BatchReleaseRequest, BatchReleaseResponse, ItemOutcome, ItemRelease,
-    ReleaseRequest, ReleaseResponse, RequestBody, RequestEnvelope, ResponseEnvelope,
+    ReleaseRequest, ReleaseResponse, RequestBody, RequestEnvelope, ResponseBody, ResponseEnvelope,
 };
 use crate::{Result, ServiceError};
 use pcor_core::cancel::CancelToken;
@@ -78,7 +81,7 @@ use pcor_faults::{site, Faults};
 use pcor_runtime::{PoolStats, ThreadPool};
 use pcor_telemetry::{MetricsRegistry, SpanId, Telemetry, TraceId};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -192,12 +195,28 @@ impl Drop for InflightSlot {
     }
 }
 
-/// One event on a [`PendingResponse`]'s channel.
-enum Event {
-    /// A finished batch item (singles emit none).
-    Item(BatchItemResponse),
-    /// The terminal reply: the response envelope or the request's error.
-    Done(Result<ResponseEnvelope>),
+/// What a [`PendingResponse`] and its serving task share besides the item
+/// channel.
+#[derive(Debug, Default)]
+struct Shared {
+    /// What the consumer wants: [`Shared::REPLY`], [`Shared::ITEMS`] or
+    /// [`Shared::GONE`].
+    demand: AtomicU8,
+    /// The terminal reply — the response envelope or the request's error.
+    /// The serving task leaves it here and then drops its sender, so the
+    /// reply never waits for the consumer to take the last item.
+    reply: Mutex<Option<Result<ResponseEnvelope>>>,
+}
+
+impl Shared {
+    /// Only the terminal reply (the start state): a finished item is sent
+    /// only if the channel has room, the rest stay in the batch's summary,
+    /// so a handle nobody drains never holds its worker.
+    const REPLY: u8 = 0;
+    /// Items as they finish: each send waits for room in the channel.
+    const ITEMS: u8 = 1;
+    /// The handle was dropped: cancel the remaining items.
+    const GONE: u8 = 2;
 }
 
 /// The completion handle of a submitted envelope.
@@ -206,39 +225,53 @@ enum Event {
 /// as the serving task finishes each one, so the analyst sees early
 /// results while later items are still searching; a single release has no
 /// items, only its terminal reply. The channel between the serving task
-/// and the handle holds one event, so the server computes at most one
-/// item ahead of the consumer (streaming back-pressure) — a batch handle
-/// that nobody drains holds its worker. [`PendingResponse::wait`] folds
-/// the events into the terminal [`ResponseEnvelope`]; a batch's summary
-/// repeats every item, so `wait` alone loses nothing.
+/// and the handle holds one item. Once the handle has asked for an item,
+/// the task waits for room before sending the next, so the server
+/// computes at most one item ahead of the consumer (streaming
+/// back-pressure); until then it never waits, so a handle that is only
+/// waited on never holds its worker, and items it did not send are
+/// yielded from the summary. [`PendingResponse::wait`] folds the events
+/// into the terminal [`ResponseEnvelope`]; a batch's summary repeats every
+/// item, so `wait` alone loses nothing.
 ///
 /// Dropping the handle early **cancels** a batch: items not yet processed
 /// are skipped and their ε slices refunded (items already released stay
 /// committed — their mechanism ran).
 #[derive(Debug)]
 pub struct PendingResponse {
-    receiver: mpsc::Receiver<Event>,
+    receiver: mpsc::Receiver<BatchItemResponse>,
+    shared: Arc<Shared>,
     buffered: VecDeque<BatchItemResponse>,
+    /// Items taken off the channel; the summary's later items were never
+    /// sent and are yielded from it.
+    received: usize,
     done: Option<Result<ResponseEnvelope>>,
 }
 
 impl PendingResponse {
+    fn new(receiver: mpsc::Receiver<BatchItemResponse>, shared: Arc<Shared>) -> Self {
+        PendingResponse { receiver, shared, buffered: VecDeque::new(), received: 0, done: None }
+    }
+
     /// A handle whose terminal reply is already known: the envelope was
     /// answered at admission without reaching a worker.
     fn answered(outcome: Result<ResponseEnvelope>) -> Self {
         let (_, receiver) = mpsc::sync_channel(0);
-        PendingResponse { receiver, buffered: VecDeque::new(), done: Some(outcome) }
+        let mut handle = Self::new(receiver, Arc::default());
+        handle.done = Some(outcome);
+        handle
     }
 
-    /// Takes one event off the channel: an item is returned, the terminal
-    /// reply is kept (a vanished serving task reads as
+    /// Takes one event: an item off the channel is returned; once the
+    /// serving task has dropped its sender and every sent item is taken,
+    /// its reply is kept (a task that vanished without one reads as
     /// [`ServiceError::Shutdown`]). `None` once the reply has arrived, or
     /// when `block` is false and nothing is ready.
     fn receive(&mut self, block: bool) -> Option<BatchItemResponse> {
         if self.done.is_some() {
             return None;
         }
-        let event = if block {
+        let item = if block {
             self.receiver.recv().ok()
         } else {
             match self.receiver.try_recv() {
@@ -246,24 +279,40 @@ impl PendingResponse {
                 event => event.ok(),
             }
         };
-        match event {
-            Some(Event::Item(item)) => Some(item),
-            Some(Event::Done(outcome)) => {
-                self.done = Some(outcome);
-                None
-            }
-            None => {
-                self.done = Some(Err(ServiceError::Shutdown));
-                None
-            }
+        if item.is_some() {
+            self.received += 1;
+        } else {
+            let reply = self.shared.reply.lock().expect("reply slot poisoned").take();
+            self.done = Some(reply.unwrap_or(Err(ServiceError::Shutdown)));
         }
+        item
+    }
+
+    /// The items of an arrived batch summary (empty otherwise).
+    fn summary_items(&self) -> &[BatchItemResponse] {
+        match &self.done {
+            Some(Ok(ResponseEnvelope { body: ResponseBody::Batch(batch), .. })) => &batch.items,
+            _ => &[],
+        }
+    }
+
+    /// The next item: buffered, then off the channel (blocking when
+    /// `block`), then — once the reply has arrived — from the summary.
+    fn take_item(&mut self, block: bool) -> Option<BatchItemResponse> {
+        self.shared.demand.store(Shared::ITEMS, Ordering::Release);
+        if let Some(item) = self.buffered.pop_front().or_else(|| self.receive(block)) {
+            return Some(item);
+        }
+        let item = self.summary_items().get(self.received)?.clone();
+        self.received += 1;
+        Some(item)
     }
 
     /// Blocks for the next finished item; `None` once every item has been
     /// yielded (the terminal reply is then available via
     /// [`PendingResponse::wait`] without blocking).
     pub fn next_item(&mut self) -> Option<BatchItemResponse> {
-        self.buffered.pop_front().or_else(|| self.receive(true))
+        self.take_item(true)
     }
 
     /// Non-blocking [`PendingResponse::next_item`]: a finished item if one
@@ -272,18 +321,21 @@ impl PendingResponse {
     /// is the poll surface the network reactor drains between epoll
     /// wakeups — it must never park the reactor thread on a slow release.
     pub fn try_next_item(&mut self) -> Option<BatchItemResponse> {
-        self.buffered.pop_front().or_else(|| self.receive(false))
+        self.take_item(false)
     }
 
-    /// Whether the terminal reply has arrived. Never blocks, and takes at
-    /// most one event off the channel: an item it takes is buffered for
-    /// later `next_item` calls, so polling alone never lets the serving
-    /// task run more than one item ahead of the consumer.
+    /// Whether the terminal reply has arrived and, once items have been
+    /// asked for, every item has been yielded. Never blocks, and takes at
+    /// most one event: an item it takes is buffered for later `next_item`
+    /// calls, so polling alone never lets the serving task run more than
+    /// one item ahead of the consumer.
     pub fn is_finished(&mut self) -> bool {
         if let Some(item) = self.receive(false) {
             self.buffered.push_back(item);
         }
         self.done.is_some()
+            && (self.shared.demand.load(Ordering::Acquire) == Shared::REPLY
+                || (self.buffered.is_empty() && self.received >= self.summary_items().len()))
     }
 
     /// Drains any remaining items and returns the terminal reply.
@@ -293,8 +345,14 @@ impl PendingResponse {
     /// error; per-item failures are inside its response), or
     /// [`ServiceError::Shutdown`] if the server stopped first.
     pub fn wait(mut self) -> Result<ResponseEnvelope> {
-        while self.next_item().is_some() {}
+        while self.receive(true).is_some() {}
         self.done.take().unwrap_or(Err(ServiceError::Shutdown))
+    }
+}
+
+impl Drop for PendingResponse {
+    fn drop(&mut self) {
+        self.shared.demand.store(Shared::GONE, Ordering::Release);
     }
 }
 
@@ -612,16 +670,11 @@ impl Server {
     }
 
     /// Spawns the serving task for one admitted envelope.
-    fn dispatch(
-        &self,
-        envelope: RequestEnvelope,
-        cancel: Option<CancelToken>,
-        slot: InflightSlot,
-    ) -> PendingResponse {
-        // Capacity 1: the serving task stays at most one finished item
-        // ahead of the consumer, and a consumer that drops the handle makes
-        // the next send fail, which cancels the remaining items.
-        let (events, receiver) = mpsc::sync_channel(1);
+    fn dispatch(&self, envelope: RequestEnvelope, slot: InflightSlot) -> PendingResponse {
+        // Capacity 1: once the consumer asks for items, the serving task
+        // stays at most one finished item ahead of it.
+        let (items, receiver) = mpsc::sync_channel(1);
+        let shared = Arc::new(Shared::default());
         let task = Task {
             registry: Arc::clone(&self.registry),
             ledger: Arc::clone(&self.ledger),
@@ -636,12 +689,18 @@ impl Server {
                 Some(id) if id != 0 => TraceId(id),
                 _ => TraceId::next(),
             },
-            cancel,
+            // An envelope deadline becomes a cancel token the whole
+            // serving path shares; accumulated injected clock skew shortens
+            // it, so chaos runs can force expiry deterministically.
+            cancel: envelope.deadline().map(|timeout| {
+                CancelToken::deadline_after(timeout.saturating_sub(self.faults.skew()))
+            }),
             enqueued: Instant::now(),
+            shared: Arc::clone(&shared),
             _slot: slot,
         };
-        self.pool.spawn(move || task.run(envelope, &events));
-        PendingResponse { receiver, buffered: VecDeque::new(), done: None }
+        self.pool.spawn(move || task.run(envelope, items));
+        PendingResponse::new(receiver, shared)
     }
 
     /// Proactive load shedding: a request that carries a deadline the
@@ -677,56 +736,64 @@ impl Server {
     /// Enqueues an envelope, blocking while `queue_capacity` requests are
     /// in flight.
     ///
-    /// An envelope that fails validation, or whose deadline has already
-    /// passed, is answered on the returned handle without taking an
-    /// in-flight slot.
+    /// An envelope that fails validation is answered on the returned
+    /// handle without taking an in-flight slot — with
+    /// [`ServiceError::DeadlineExceeded`] when its deadline has already
+    /// passed too.
     ///
     /// # Errors
     /// Returns [`ServiceError::Overloaded`] when the envelope carries a
     /// deadline the estimated queue wait already exceeds, and
     /// [`ServiceError::Shutdown`] after [`shutdown`](Server::shutdown).
     pub fn submit_envelope(&self, envelope: RequestEnvelope) -> Result<PendingResponse> {
-        self.admit(envelope, |inflight, capacity| Ok(inflight.acquire(capacity)))
+        self.admit(envelope, true, |inflight, capacity| Ok(inflight.acquire(capacity)))
     }
 
     /// [`Server::submit_envelope`] without blocking — the network
-    /// reactor's admission path, which must refuse rather than park.
+    /// reactor's admission path, which must refuse rather than park. A
+    /// malformed envelope is answered with its validation error even when
+    /// its deadline has already passed.
     ///
     /// # Errors
     /// Returns [`ServiceError::QueueFull`] when `queue_capacity` requests
     /// are in flight, plus everything [`Server::submit_envelope`] returns.
     pub fn try_submit_envelope(&self, envelope: RequestEnvelope) -> Result<PendingResponse> {
-        self.admit(envelope, |inflight, capacity| {
+        self.admit(envelope, false, |inflight, capacity| {
             inflight.try_acquire(capacity).ok_or(ServiceError::QueueFull)
         })
     }
 
-    /// The one admission path: shed, answer past-due and malformed
-    /// envelopes on the spot, then take a slot via `acquire` and dispatch.
+    /// The one admission path: answer a malformed envelope on the spot,
+    /// shed a doomed one, then take a slot via `acquire` and dispatch.
+    ///
+    /// `expiry_first` decides what a malformed envelope whose deadline has
+    /// already passed (`deadline_ms: 0`, or one collapsed by injected
+    /// skew) is told: in process, deadline-exceeded, counted like every
+    /// other expiry; through the network reactor, its malformation — the
+    /// wire's non-retryable `invalid-request`.
     fn admit(
         &self,
         envelope: RequestEnvelope,
+        expiry_first: bool,
         acquire: impl FnOnce(&Arc<Inflight>, usize) -> Result<InflightSlot>,
     ) -> Result<PendingResponse> {
         if !self.accepting.load(Ordering::Acquire) {
             return Err(ServiceError::Shutdown);
         }
-        self.shed_if_doomed(&envelope)?;
-        // An envelope deadline becomes a cancel token the whole serving
-        // path shares; accumulated injected clock skew shortens it, so
-        // chaos runs can force expiry deterministically.
-        let cancel = envelope
-            .deadline()
-            .map(|timeout| CancelToken::deadline_after(timeout.saturating_sub(self.faults.skew())));
-        if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            self.metrics.record_deadline_exceeded();
-            return Ok(PendingResponse::answered(Err(ServiceError::DeadlineExceeded)));
-        }
         if let Err(err) = envelope.validate() {
+            let expired = expiry_first
+                && envelope.deadline().is_some_and(|deadline| deadline <= self.faults.skew());
+            let err = if expired {
+                self.metrics.record_deadline_exceeded();
+                ServiceError::DeadlineExceeded
+            } else {
+                err
+            };
             return Ok(PendingResponse::answered(Err(err)));
         }
+        self.shed_if_doomed(&envelope)?;
         let slot = acquire(&self.inflight, self.queue_capacity)?;
-        Ok(self.dispatch(envelope, cancel, slot))
+        Ok(self.dispatch(envelope, slot))
     }
 
     /// Submits a single-record request and blocks for its response.
@@ -857,15 +924,17 @@ struct Task {
     /// verifier before every fresh evaluation.
     cancel: Option<CancelToken>,
     enqueued: Instant,
+    /// What the handle has asked for, and where the reply goes.
+    shared: Arc<Shared>,
     /// Held for the task's duration; its drop (panic included) releases
     /// capacity and wakes blocked submitters.
     _slot: InflightSlot,
 }
 
 impl Task {
-    /// Serves the envelope, sends its events, then runs the post-reply
-    /// housekeeping.
-    fn run(self, envelope: RequestEnvelope, events: &mpsc::SyncSender<Event>) {
+    /// Serves the envelope, streams its items, leaves the reply, then runs
+    /// the post-reply housekeeping.
+    fn run(self, envelope: RequestEnvelope, items: mpsc::SyncSender<BatchItemResponse>) {
         // The service seam: injected latency simulates a slow serving
         // task (deadline pressure), an injected panic exercises the
         // refund-on-unwind guarantees.
@@ -879,13 +948,39 @@ impl Task {
             self.metrics.record_deadline_exceeded();
             Err(ServiceError::DeadlineExceeded)
         } else {
-            self.serve(server_span.id(), envelope, |item| {
-                events.send(Event::Item(item.clone())).is_ok()
+            let mut sent = 0;
+            self.serve(server_span.id(), envelope, |finished| {
+                let streaming = match self.shared.demand.load(Ordering::Acquire) {
+                    Shared::GONE => return false,
+                    Shared::ITEMS => true,
+                    _ => false,
+                };
+                // Unsent items go out in order. Once the handle has asked,
+                // each send waits for the consumer to take the last; before
+                // that an item goes only if the channel has room.
+                for item in &finished[sent..] {
+                    let delivered = if streaming {
+                        items.send(item.clone()).is_ok()
+                    } else {
+                        match items.try_send(item.clone()) {
+                            Ok(()) => true,
+                            Err(mpsc::TrySendError::Full(_)) => return true,
+                            Err(mpsc::TrySendError::Disconnected(_)) => false,
+                        }
+                    };
+                    if !delivered {
+                        return false;
+                    }
+                    sent += 1;
+                }
+                true
             })
         };
         server_span.finish();
-        // A dropped handle is fine; ignore send errors.
-        let _ = events.send(Event::Done(reply));
+        // Leave the reply, then hang up: the handle reads it once it has
+        // taken every sent item, so the reply never waits on the consumer.
+        *self.shared.reply.lock().expect("reply slot poisoned") = Some(reply);
+        drop(items);
         // Auto-compaction rides the serving task, after the reply is
         // already on its way: the analyst never waits on a checkpoint. A
         // failed checkpoint leaves the existing log intact (replay just
@@ -903,15 +998,15 @@ impl Task {
     /// as a one-item batch: one summed-ε reservation, one shared
     /// (pool-attached) release session, per-item resolution and one
     /// partial commit. `parent` (the root "server" span) threads causality
-    /// down into the ledger, session and verifier spans. `sink` observes
-    /// each finished batch item in order (singles emit none); returning
-    /// `false` cancels the remaining items, whose ε slices are refunded
-    /// with the failed items' — the dropped-consumer semantics.
+    /// down into the ledger, session and verifier spans. `sink` sees a
+    /// batch's finished items after each one (a single never calls it);
+    /// returning `false` cancels the remaining items, whose ε slices are
+    /// refunded with the failed items' — the dropped-consumer semantics.
     fn serve(
         &self,
         parent: SpanId,
         envelope: RequestEnvelope,
-        mut sink: impl FnMut(&BatchItemResponse) -> bool,
+        mut sink: impl FnMut(&[BatchItemResponse]) -> bool,
     ) -> Result<ResponseEnvelope> {
         let worker = self.pool.current_worker().unwrap_or(0);
         let (batch, single) = match envelope.body {
@@ -1059,11 +1154,12 @@ impl Task {
                 // ε slice stays in the reservation and is refunded below.
                 Err(err) => ItemOutcome::Failed { error: err.to_string() },
             };
-            let response =
-                BatchItemResponse { record_id: item.record_id, epsilon: item.epsilon, outcome };
-            let consumer_alive = single || sink(&response);
-            items.push(response);
-            if !consumer_alive {
+            items.push(BatchItemResponse {
+                record_id: item.record_id,
+                epsilon: item.epsilon,
+                outcome,
+            });
+            if !single && !sink(&items) {
                 break;
             }
         }
@@ -1627,6 +1723,29 @@ mod tests {
         assert!((summary.epsilon_committed - 0.6).abs() < 1e-9);
     }
 
+    /// A handle that has not asked for items leaves them in the summary:
+    /// the batch finishes without a consumer, and a later `next_item`
+    /// still yields every item, in order, from the summary.
+    #[test]
+    fn items_finished_before_the_first_ask_come_from_the_summary() {
+        let server = toy_server(10.0, 1);
+        let mut handle =
+            server.submit_envelope(RequestEnvelope::batch(toy_batch("alice", &[0, 1, 0]))).unwrap();
+        let started = Instant::now();
+        while !handle.is_finished() {
+            assert!(started.elapsed().as_secs() < 30, "an undrained batch never finished");
+            std::thread::yield_now();
+        }
+        let mut items = Vec::new();
+        while let Some(item) = handle.next_item() {
+            items.push(item);
+        }
+        assert!(handle.is_finished());
+        let summary = handle.wait().unwrap().into_batch().unwrap();
+        assert_eq!(items, summary.items);
+        assert_eq!(items.iter().map(|item| item.record_id).collect::<Vec<_>>(), [0, 1, 0]);
+    }
+
     #[test]
     fn streamed_and_blocking_batches_account_identically() {
         let streamed_server = toy_server(10.0, 1);
@@ -1696,15 +1815,13 @@ mod tests {
             .unwrap();
         let envelope = RequestEnvelope::single(toy_request("bob", 1)).with_deadline_ms(1);
         let pending = server.submit_envelope(envelope).unwrap();
-        // The batch streams: its worker stays busy until its items are
-        // drained, so drain them first.
-        assert!(slow.wait().is_ok());
         match pending.wait() {
             Err(ServiceError::DeadlineExceeded) => {}
             other => panic!("expected a deadline refusal, got {other:?}"),
         }
         assert!((server.ledger().remaining("bob", "toy") - 1_000.0).abs() < 1e-12);
         assert!(server.metrics().deadline_exceeded >= 1);
+        assert!(slow.wait().is_ok());
         // The scrape reports the lifecycle counter.
         let scrape = server.telemetry().render_prometheus();
         assert!(scrape.contains("pcor_deadline_exceeded_total"), "{scrape}");

@@ -437,6 +437,28 @@ fn oversized_frames_close_the_connection() {
     front.shutdown();
 }
 
+/// Validation runs before load shedding and deadline handling at
+/// admission: a zero deadline is a malformed envelope, answered
+/// `invalid-request` (not retryable), never `deadline-exceeded`.
+#[test]
+fn a_zero_deadline_is_answered_invalid_request_over_the_wire() {
+    let server = tiny_server();
+    let front = NetFront::bind(NetConfig::default(), Arc::clone(&server)).unwrap();
+    let mut client = NetClient::connect(front.rpc_addr()).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    for envelope in [single("alice", 0, 0.1, 1), batch(&[0], 2, 0.1, 4)] {
+        let replies = client.call(&envelope.with_deadline_ms(0)).unwrap();
+        let [WireReply::Error(error)] = replies.as_slice() else {
+            panic!("expected one error reply, got {replies:?}");
+        };
+        assert_eq!(error.kind, "invalid-request", "{error:?}");
+        assert!(!error.is_backpressure());
+    }
+    assert_eq!(server.metrics().deadline_exceeded, 0);
+    assert!((server.ledger().remaining("alice", "salary") - 1.0).abs() < 1e-12);
+    front.shutdown();
+}
+
 /// The `service.release` fault seam fires once per admitted envelope:
 /// singles and batches alike, in process and over the wire, so chaos
 /// scripts reach every serving task.
