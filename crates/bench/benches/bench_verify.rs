@@ -1,12 +1,12 @@
 //! Criterion micro-benchmarks of the `f_M` verification hot path: the
-//! from-scratch population evaluation against the incremental
-//! scratch/cursor engine, at several dataset sizes. The `verify-hotpath`
+//! from-scratch population evaluation against the incremental cursor
+//! engine, at several dataset sizes. The `verify-hotpath`
 //! experiment (`reproduce -- verify`) reports the same comparison with
 //! allocation counts; this harness tracks regressions per engine layer.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pcor_data::generator::{salary_dataset, SalaryConfig};
-use pcor_data::{Context, PopulationCursor, PopulationScratch, ShardPolicy};
+use pcor_data::{Context, PopulationCursor, ShardPolicy};
 use pcor_dp::PopulationSizeUtility;
 use pcor_outlier::ZScoreDetector;
 use rand::{Rng, SeedableRng};
@@ -33,17 +33,6 @@ fn bench_population_engines(c: &mut Criterion) {
                 context.flip(flips[i % flips.len()]);
                 i += 1;
                 black_box(dataset.population(&context).unwrap().count())
-            });
-        });
-
-        group.bench_with_input(BenchmarkId::new("scratch_reuse", records), &records, |b, _| {
-            let mut context = start.clone();
-            let mut scratch = PopulationScratch::for_dataset(&dataset);
-            let mut i = 0usize;
-            b.iter(|| {
-                context.flip(flips[i % flips.len()]);
-                i += 1;
-                black_box(dataset.population_into(&context, &mut scratch).unwrap().count())
             });
         });
 

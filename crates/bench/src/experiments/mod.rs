@@ -13,7 +13,7 @@
 //! | [`service_throughput`] | (beyond the paper) `pcor-service` throughput vs. worker count |
 //! | [`batch`] | (beyond the paper) batched releases vs. equivalent singles |
 //! | [`verify_hotpath`] | (beyond the paper) `f_M` evaluation engines: from-scratch vs. incremental |
-//! | [`pool_breakeven`] | (beyond the paper) sharded-pass break-even: spawn-per-pass vs. persistent pool |
+//! | [`pool_breakeven`] | (beyond the paper) pool-sharded pass break-even vs. serial |
 //! | [`mechanisms`] | (beyond the paper) DP selection mechanisms at equal ε: Exponential vs permute-and-flip vs report-noisy-max |
 //! | [`wal`] | (beyond the paper) WAL durability: append throughput per fsync policy, replay vs checkpointed replay |
 //! | [`net`] | (beyond the paper) `pcor-net` reactor: frames/sec, p99 round trip and shed rate vs connections × in-flight |
@@ -117,8 +117,8 @@ pub enum ExperimentId {
     /// `f_M` verification engines: from-scratch vs. incremental/sharded
     /// (beyond the paper).
     VerifyHotpath,
-    /// Sharded-pass break-even: spawn-per-pass vs. persistent-pool
-    /// execution across dataset sizes (beyond the paper).
+    /// Pool-sharded pass break-even against the serial pass across dataset
+    /// sizes (beyond the paper).
     PoolBreakeven,
     /// DP selection mechanisms at equal ε: Exponential vs permute-and-flip
     /// vs report-noisy-max (beyond the paper).

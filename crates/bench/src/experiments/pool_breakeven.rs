@@ -1,34 +1,26 @@
-//! Pool-breakeven: where sharded population evaluation starts paying, per
-//! execution mode.
+//! Pool-breakeven: where pool-sharded population evaluation starts paying.
 //!
-//! Not a paper experiment — PR 3's sharded fused AND/popcount pass spawned
-//! fresh `std::thread::scope` workers per pass, which costs tens of
-//! microseconds and pushed the auto-shard threshold to
-//! `ShardPolicy::AUTO_MIN_WORDS` (2^16 words ≈ 4.2 M records). The
-//! persistent work-stealing pool of `pcor-runtime` replaces the spawn with
-//! a few queue operations (the submitting thread helps execute), which is
-//! what `ShardPolicy::POOLED_MIN_WORDS` (2^12 words ≈ 260 k records) is
-//! calibrated against. This experiment measures, across dataset sizes `n`:
+//! Not a paper experiment — the persistent work-stealing pool of
+//! `pcor-runtime` is the only executor of the sharded fused AND/popcount
+//! pass, and its dispatch costs a few queue operations (the submitting
+//! thread helps execute). `ShardPolicy::POOLED_MIN_WORDS` (2^12 words ≈
+//! 260 k records) is calibrated against this experiment, which measures,
+//! across dataset sizes `n`:
 //!
 //! * **serial** — the single-threaded fused pass (baseline);
-//! * **spawn x2** — two shards via per-pass thread spawns (the PR 3
-//!   mechanism, forced on below its threshold to expose the spawn cost);
 //! * **pool auto** — [`ShardPolicy::pooled`] on a machine-sized resident
 //!   pool: *the production policy*. It right-sizes to the pool (a
 //!   single-worker pool stays serial, more workers shard from
 //!   `POOLED_MIN_WORDS`), so its ratio is ≥ 1x wherever the machine has
 //!   parallelism to give and exactly 1x (parity) where it does not;
 //! * **pool x2** — two shards forced onto the pool, isolating the
-//!   resident-dispatch overhead for an apples-to-apples comparison with
-//!   `spawn x2`.
+//!   resident-dispatch overhead.
 //!
 //! Every path walks the same flip sequence and must report the same
 //! population sizes — the experiment hard-fails on divergence. The
 //! reported crossover is the smallest measured `n` at which the pooled
-//! pass holds ≥ 1x of serial (2-decimal parity); with the spawn mechanism
-//! that point sits at the 2^16-word boundary, with the pool it drops to
-//! the bottom of the sweep. Results land in `BENCH_pool.json` via
-//! `reproduce --json`.
+//! pass holds ≥ 1x of serial (2-decimal parity). Results land in
+//! `BENCH_pool.json` via `reproduce --json`.
 
 use crate::config::ExperimentScale;
 use crate::report::Table;
@@ -108,8 +100,8 @@ fn measure(
 /// Returns [`BenchError::Service`] if any sharded path's population sizes
 /// diverge from the serial pass.
 pub fn run(scale: &ExperimentScale) -> Result<ExperimentOutput> {
-    // Sweep the record space from well below the pooled threshold up to
-    // the spawn mechanism's 2^16-word break-even. Smoke runs stay tiny.
+    // Sweep the record space from the pooled threshold up to 2^16 words.
+    // Smoke runs stay tiny.
     let (sweep, flips_budget): (&[usize], usize) = if scale.salary_records < 2_000 {
         (&[16_384, 65_536], 1 << 22)
     } else {
@@ -118,17 +110,15 @@ pub fn run(scale: &ExperimentScale) -> Result<ExperimentOutput> {
 
     // Two resident pools: one sized to the machine (the production
     // deployment of `ShardPolicy::pooled`) and one with two workers, so
-    // the forced two-shard comparison against spawn x2 exists even on a
-    // single-core host.
+    // the forced two-shard row exists even on a single-core host.
     let machine_pool = Arc::new(ThreadPool::for_available_parallelism());
     let wide_pool = Arc::new(ThreadPool::new(2));
 
     let mut table = Table::new(
         format!(
             "Pool break-even: sharded fused AND/popcount pass vs serial \
-             (machine pool: {} workers; spawn break-even at {} words)",
-            machine_pool.workers(),
-            ShardPolicy::AUTO_MIN_WORDS
+             (machine pool: {} workers)",
+            machine_pool.workers()
         ),
         &["n", "words", "Path", "passes/sec", "us/pass", "vs serial"],
     );
@@ -155,7 +145,6 @@ pub fn run(scale: &ExperimentScale) -> Result<ExperimentOutput> {
 
         let paths: Vec<(&str, ShardPolicy)> = vec![
             ("serial", ShardPolicy::serial()),
-            ("spawn x2", ShardPolicy::forced(2)),
             ("pool auto", ShardPolicy::pooled(Arc::clone(&machine_pool))),
             ("pool x2", ShardPolicy::pooled_forced(Arc::clone(&wide_pool), 2)),
         ];
@@ -194,14 +183,6 @@ pub fn run(scale: &ExperimentScale) -> Result<ExperimentOutput> {
         &["Quantity", "Value"],
     );
     summary.push_row(vec![
-        "spawn break-even (ShardPolicy::AUTO_MIN_WORDS)".into(),
-        format!(
-            "{} words (~{} records)",
-            ShardPolicy::AUTO_MIN_WORDS,
-            ShardPolicy::AUTO_MIN_WORDS * 64
-        ),
-    ]);
-    summary.push_row(vec![
         "pooled threshold (ShardPolicy::POOLED_MIN_WORDS)".into(),
         format!(
             "{} words (~{} records)",
@@ -232,15 +213,15 @@ mod tests {
         let output = run(&scale).expect("pool-breakeven experiment");
         assert_eq!(output.tables.len(), 2);
         let table = &output.tables[0];
-        // 2 sizes x 4 paths at smoke scale.
-        assert_eq!(table.rows.len(), 8);
+        // 2 sizes x 3 paths at smoke scale.
+        assert_eq!(table.rows.len(), 6);
         for row in &table.rows {
             assert_eq!(row.len(), 6);
             let rate: f64 = row[3].parse().unwrap();
             assert!(rate > 0.0, "path {} reported no throughput", row[2]);
         }
         let summary = &output.tables[1];
-        assert_eq!(summary.rows.len(), 3);
+        assert_eq!(summary.rows.len(), 2);
         // No wall-clock ratio assertions: timing comparisons belong in the
         // reported output (BENCH_pool.json), not in a unit test that would
         // flake on loaded CI runners. The load-bearing correctness check —

@@ -12,9 +12,6 @@
 //!   OR/AND pass over every attribute, the population is popcounted twice
 //!   (utility + size), and a fresh metrics `Vec` is gathered through the
 //!   per-`Record` indirection before the detector re-scans it;
-//! * **scratch reuse** — `Dataset::population_into` on a
-//!   [`PopulationScratch`] plus the columnar metric gather: same passes,
-//!   zero allocation;
 //! * **incremental cursor (rescan)** — a [`PopulationCursor`] advancing by
 //!   one flip (one attribute-block union update + one fused AND/popcount
 //!   pass through the dispatched kernel), but with the detector's shifted
@@ -53,7 +50,7 @@ use crate::config::ExperimentScale;
 use crate::report::Table;
 use crate::{BenchError, Result};
 use pcor_data::kernel::{self, KernelKind};
-use pcor_data::{Context, Dataset, PopulationCursor, PopulationScratch, RecordBitmap, ShardPolicy};
+use pcor_data::{Context, Dataset, PopulationCursor, RecordBitmap, ShardPolicy};
 use pcor_dp::{PopulationSizeUtility, Utility};
 use pcor_outlier::{OutlierDetector, PopulationMoments, ZScoreDetector};
 use pcor_runtime::ThreadPool;
@@ -298,9 +295,8 @@ pub fn run(scale: &ExperimentScale) -> Result<ExperimentOutput> {
     let mut digests: Vec<Digest> = Vec::new();
     let mut words_per_path: Vec<Option<u64>> = Vec::new();
     let mut baseline_rate = 0.0f64;
-    let paths: [&str; 5] = [
+    let paths: [&str; 4] = [
         "from-scratch (seed)",
-        "scratch reuse",
         "incremental cursor (rescan)",
         "incremental moments",
         "incremental sharded (gated)",
@@ -323,28 +319,6 @@ pub fn run(scale: &ExperimentScale) -> Result<ExperimentOutput> {
                     }
                 }
                 1 => {
-                    // Reused scratch + columnar slice gather: the same
-                    // passes as the seed engine, zero allocation.
-                    let mut context = start.clone();
-                    let mut scratch = PopulationScratch::for_dataset(&dataset);
-                    let mut metrics_buf = Vec::with_capacity(dataset.len());
-                    for &bit in &flips {
-                        context.flip(bit);
-                        let population = dataset.population_into(&context, &mut scratch)?;
-                        let _utility_score = utility.score(&dataset, &context, population);
-                        let matching = if population.contains(outlier_id) {
-                            let target = dataset
-                                .gather_population_metrics(population, outlier_id, &mut metrics_buf)
-                                .expect("coverage checked above");
-                            detector.is_outlier(&metrics_buf, target)
-                        } else {
-                            false
-                        };
-                        sizes += population.count() as u64;
-                        matches += matching as u64;
-                    }
-                }
-                2 => {
                     let mut cursor =
                         PopulationCursor::with_policy(&dataset, &start, ShardPolicy::serial())?;
                     let mut moment_words = 0u64;
@@ -364,7 +338,7 @@ pub fn run(scale: &ExperimentScale) -> Result<ExperimentOutput> {
                     words = Some(cursor.words_scanned() + moment_words);
                 }
                 _ => {
-                    let policy = if index == 3 {
+                    let policy = if index == 2 {
                         ShardPolicy::serial()
                     } else {
                         ShardPolicy::pooled(Arc::clone(&pool))
@@ -437,8 +411,8 @@ pub fn run(scale: &ExperimentScale) -> Result<ExperimentOutput> {
     // The point of the moment tracker: strictly less word traffic per call
     // than recomputing the moments from scratch. Deterministic for the same
     // reason as the digest check — the meters count work, not time.
-    let rescan_words = words_per_path[2].expect("rescan engine meters its words");
-    let tracked_words = words_per_path[3].expect("tracked engine meters its words");
+    let rescan_words = words_per_path[1].expect("rescan engine meters its words");
+    let tracked_words = words_per_path[2].expect("tracked engine meters its words");
     if tracked_words >= rescan_words {
         return Err(BenchError::Service(format!(
             "moment tracker regression: tracked engine scanned {tracked_words} words \
@@ -468,29 +442,27 @@ mod tests {
         let output = run(&scale).expect("verify-hotpath experiment");
         assert_eq!(output.tables.len(), 2);
         let table = &output.tables[0];
-        assert_eq!(table.rows.len(), 5);
+        assert_eq!(table.rows.len(), 4);
         for row in &table.rows {
             assert_eq!(row.len(), 7);
             let rate: f64 = row[1].parse().unwrap();
             assert!(rate > 0.0, "path {} reported no throughput", row[0]);
         }
         // The cursor engines meter their words, so words/call and bytes/sec
-        // must carry real positive numbers; the historical paths have no
-        // counter and report `n/a`.
-        for row in &table.rows[2..] {
+        // must carry real positive numbers; the historical path has no
+        // counter and reports `n/a`.
+        for row in &table.rows[1..] {
             let words: f64 = row[4].parse().unwrap();
             assert!(words > 0.0, "path {} reported no word traffic", row[0]);
             let bytes: f64 = row[5].parse().unwrap();
             assert!(bytes > 0.0, "path {} reported no bandwidth", row[0]);
         }
-        for row in &table.rows[..2] {
-            assert_eq!(row[4], "n/a");
-            assert_eq!(row[5], "n/a");
-        }
+        assert_eq!(table.rows[0][4], "n/a");
+        assert_eq!(table.rows[0][5], "n/a");
         // The tracked-moments row scans strictly fewer words per call than
         // the rescan row (also hard-enforced inside `run`).
-        let rescan: f64 = table.rows[2][4].parse().unwrap();
-        let tracked: f64 = table.rows[3][4].parse().unwrap();
+        let rescan: f64 = table.rows[1][4].parse().unwrap();
+        let tracked: f64 = table.rows[2][4].parse().unwrap();
         assert!(tracked < rescan, "tracked {tracked} >= rescan {rescan}");
         // No wall-clock ratio assertions here: timing comparisons belong in
         // the experiment's reported output (BENCH_verify.json), not in a

@@ -6,8 +6,9 @@
 //! normalize the utility of PCOR's private answers ("the proportion of the
 //! utility of the PCOR's output to the maximum utility", Section 6.2). On the
 //! authors' 51 k-record dataset this took three days; here the enumeration is
-//! restricted to the `2^(t−m)` contexts that actually cover `V` and is
-//! parallelized across threads, which makes the reduced-scale workloads
+//! restricted to the `2^(t−m)` contexts that actually cover `V` and walked
+//! in Gray-code order on an incremental cursor (fork-join on a resident
+//! pool when one is given), which makes the reduced-scale workloads
 //! (t ≤ 22) enumerable in seconds.
 
 use crate::{PcorError, Result};
@@ -83,30 +84,97 @@ impl ReferenceFile {
     }
 }
 
-/// Enumerates the Gray-code range `[lo, hi)` of the `2^|free_bits|`
-/// super-contexts of `minimal` on one incremental cursor, collecting the
-/// matching entries.
+/// The `2^|free_bits|` contexts covering one record: its minimal context
+/// plus every subset of the bits the minimal context leaves unset.
+///
+/// Building one is the shared preamble of every enumeration of that space
+/// (the reference-file variants and the direct approach), so they all
+/// refuse the same oversized inputs the same way.
+#[derive(Debug)]
+pub(crate) struct CoveringSpace {
+    /// The record's minimal context `C_V`.
+    pub(crate) minimal: Context,
+    /// Context bits outside `C_V`, in ascending order.
+    pub(crate) free_bits: Vec<usize>,
+    /// Number of contexts in the space, `2^|free_bits|`.
+    pub(crate) total: u64,
+}
+
+impl CoveringSpace {
+    /// Checks `t` against `limit`, then builds the space around the
+    /// context `minimal` yields (called only once the limit check passed).
+    ///
+    /// # Errors
+    /// [`PcorError::TooManyAttributeValues`] when `t` exceeds `limit`, or
+    /// when the space has `2^64` or more contexts and so cannot be counted
+    /// (the reported limit is then the largest `t` this record admits,
+    /// `m + 63`); errors from `minimal` otherwise.
+    pub(crate) fn new(
+        t: usize,
+        limit: usize,
+        minimal: impl FnOnce() -> Result<Context>,
+    ) -> Result<Self> {
+        if t > limit {
+            return Err(PcorError::TooManyAttributeValues { t, limit });
+        }
+        let minimal = minimal()?;
+        let free_bits: Vec<usize> = (0..t).filter(|&bit| !minimal.get(bit)).collect();
+        if free_bits.len() >= u64::BITS as usize {
+            let limit = t - free_bits.len() + (u64::BITS as usize - 1);
+            return Err(PcorError::TooManyAttributeValues { t, limit });
+        }
+        let total = 1u64 << free_bits.len();
+        Ok(CoveringSpace { minimal, free_bits, total })
+    }
+
+    /// The space of record `outlier_id` of `dataset`, with the id checked.
+    fn of_record(dataset: &Dataset, outlier_id: usize, limit: usize) -> Result<Self> {
+        Self::new(dataset.schema().total_values(), limit, || {
+            if outlier_id >= dataset.len() {
+                return Err(PcorError::InvalidConfig(format!(
+                    "outlier id {outlier_id} out of range for a dataset of {} records",
+                    dataset.len()
+                )));
+            }
+            Ok(dataset.minimal_context(outlier_id)?)
+        })
+    }
+
+    /// The shared postamble: sorts `entries` into a deterministic order
+    /// independent of scheduling and records the maximum utility.
+    fn into_reference(self, outlier_id: usize, mut entries: Vec<ReferenceEntry>) -> ReferenceFile {
+        entries.sort_by(|a, b| a.context.cmp(&b.context));
+        let max_utility = entries.iter().map(|e| e.utility).fold(f64::NEG_INFINITY, f64::max);
+        ReferenceFile {
+            outlier_id,
+            entries,
+            max_utility: if max_utility.is_finite() { max_utility } else { 0.0 },
+            contexts_examined: self.total as usize,
+        }
+    }
+}
+
+/// Enumerates the Gray-code range `[lo, hi)` of `space` on one incremental
+/// cursor, collecting the matching entries.
 ///
 /// The binary-reflected Gray code visits every subset of the free bits
 /// exactly once while consecutive steps differ in a single bit, so each step
 /// costs one cursor flip plus one fused AND/popcount pass — no per-context
-/// allocation. Used by both the serial and the multi-threaded enumeration
-/// (each worker walks a disjoint mask range).
-#[allow(clippy::too_many_arguments)]
+/// allocation. The serial enumeration walks the whole range; the pooled one
+/// gives each task a disjoint range.
 fn enumerate_gray_range(
     dataset: &Dataset,
     outlier_id: usize,
     detector: &dyn OutlierDetector,
     utility: &dyn Utility,
-    minimal: &Context,
-    free_bits: &[usize],
+    space: &CoveringSpace,
     lo: u64,
     hi: u64,
 ) -> Result<Vec<ReferenceEntry>> {
     // Position the start of the range: the Gray code of `lo`.
-    let mut start = minimal.clone();
+    let mut start = space.minimal.clone();
     let gray = lo ^ (lo >> 1);
-    for (i, &bit) in free_bits.iter().enumerate() {
+    for (i, &bit) in space.free_bits.iter().enumerate() {
         if (gray >> i) & 1 == 1 {
             start.set(bit, true);
         }
@@ -118,7 +186,7 @@ fn enumerate_gray_range(
     for step in lo..hi {
         if step > lo {
             // gray(step) differs from gray(step - 1) in bit trailing_zeros(step).
-            cursor.flip(free_bits[step.trailing_zeros() as usize]);
+            cursor.flip(space.free_bits[step.trailing_zeros() as usize]);
         }
         let (context, population, population_size) = cursor.evaluated();
         if crate::verify::classify_population(
@@ -143,36 +211,31 @@ fn enumerate_gray_range(
 /// Enumerates `COE_M(D, V)` on an existing memoized
 /// [`Verifier`](crate::verify::Verifier), producing the reference file.
 ///
-/// Unlike [`enumerate_coe`] this runs single-threaded but shares the
-/// verifier's `f_M` cache: contexts already evaluated by earlier releases or
-/// searches cost nothing, and everything this enumeration evaluates stays
-/// memoized for later releases. This is the variant
-/// [`crate::ReleaseSession::reference`] uses.
+/// Like [`enumerate_coe`] this runs on the calling thread, but it shares
+/// the verifier's `f_M` cache: contexts already evaluated by earlier
+/// releases or searches cost nothing, and everything this enumeration
+/// evaluates stays memoized for later releases. This is the variant
+/// [`crate::ReleaseSession::reference`] uses for small spaces.
 ///
 /// # Errors
-/// * [`PcorError::TooManyAttributeValues`] when `t` exceeds `limit`;
+/// * [`PcorError::TooManyAttributeValues`] when `t` exceeds `limit` or the
+///   space has `2^64` or more contexts;
 /// * data-layer errors otherwise.
 pub fn enumerate_coe_with(
     verifier: &mut crate::verify::Verifier<'_>,
     limit: usize,
 ) -> Result<ReferenceFile> {
-    let dataset = verifier.dataset();
-    let t = dataset.schema().total_values();
-    if t > limit {
-        return Err(PcorError::TooManyAttributeValues { t, limit });
-    }
-    let minimal = verifier.minimal_context()?;
-    let free_bits: Vec<usize> = (0..t).filter(|&bit| !minimal.get(bit)).collect();
-    let total: u64 = 1u64 << free_bits.len();
+    let t = verifier.dataset().schema().total_values();
+    let space = CoveringSpace::new(t, limit, || verifier.minimal_context())?;
 
     // Walk the space in Gray-code order: consecutive contexts differ in one
     // bit, so the verifier's cursor advances by a single flip per context
     // (cache hits for anything earlier releases already evaluated).
     let mut entries: Vec<ReferenceEntry> = Vec::new();
-    let mut context = minimal;
-    for step in 0..total {
+    let mut context = space.minimal.clone();
+    for step in 0..space.total {
         if step > 0 {
-            context.flip(free_bits[step.trailing_zeros() as usize]);
+            context.flip(space.free_bits[step.trailing_zeros() as usize]);
         }
         let evaluation = verifier.evaluate(&context)?;
         if evaluation.matching {
@@ -183,14 +246,7 @@ pub fn enumerate_coe_with(
             });
         }
     }
-    entries.sort_by(|a, b| a.context.cmp(&b.context));
-    let max_utility = entries.iter().map(|e| e.utility).fold(f64::NEG_INFINITY, f64::max);
-    Ok(ReferenceFile {
-        outlier_id: verifier.outlier_id(),
-        entries,
-        max_utility: if max_utility.is_finite() { max_utility } else { 0.0 },
-        contexts_examined: total as usize,
-    })
+    Ok(space.into_reference(verifier.outlier_id(), entries))
 }
 
 /// Enumerates `COE_M(D, V)` on a resident [`pcor_runtime::ThreadPool`]:
@@ -199,15 +255,14 @@ pub fn enumerate_coe_with(
 /// execute), each on its own incremental cursor.
 ///
 /// Results are identical to [`enumerate_coe`] — same entries, same
-/// deterministic order — the difference is purely *where* the work runs: a
-/// serving process enumerating reference files concurrently with releases
-/// shares one set of resident workers instead of spawning a thread burst
-/// per enumeration. This is the variant
-/// [`crate::ReleaseSession::reference`] picks when the session borrows a
-/// pool and the space is large enough to split.
+/// deterministic order — the difference is purely *where* the work runs.
+/// This is the variant [`crate::ReleaseSession::reference`] picks when the
+/// session borrows a pool and the space is large enough to split.
 ///
 /// # Errors
-/// * [`PcorError::TooManyAttributeValues`] when `t` exceeds `limit`;
+/// * [`PcorError::TooManyAttributeValues`] when `t` exceeds `limit` or the
+///   space has `2^64` or more contexts;
+/// * [`PcorError::InvalidConfig`] for out-of-range ids;
 /// * data-layer errors otherwise.
 pub fn enumerate_coe_on(
     pool: &pcor_runtime::ThreadPool,
@@ -217,34 +272,18 @@ pub fn enumerate_coe_on(
     utility: &dyn Utility,
     limit: usize,
 ) -> Result<ReferenceFile> {
-    let t = dataset.schema().total_values();
-    if t > limit {
-        return Err(PcorError::TooManyAttributeValues { t, limit });
-    }
-    if outlier_id >= dataset.len() {
-        return Err(PcorError::InvalidConfig(format!(
-            "outlier id {outlier_id} out of range for a dataset of {} records",
-            dataset.len()
-        )));
-    }
-    let minimal = dataset.minimal_context(outlier_id)?;
-    let free_bits: Vec<usize> = (0..t).filter(|&bit| !minimal.get(bit)).collect();
-    let total: u64 = 1u64 << free_bits.len();
-
-    let shards = (pool.workers() as u64).clamp(1, total.max(1)) as usize;
-    let chunk = total.div_ceil(shards as u64);
+    let space = CoveringSpace::of_record(dataset, outlier_id, limit)?;
+    let total = space.total;
+    let chunk = total.div_ceil(pool.workers().max(1) as u64);
     let mut results: Vec<Result<Vec<ReferenceEntry>>> =
-        (0..total.div_ceil(chunk).max(1)).map(|_| Ok(Vec::new())).collect();
+        (0..total.div_ceil(chunk)).map(|_| Ok(Vec::new())).collect();
     pool.scope(|scope| {
         for (worker, slot) in results.iter_mut().enumerate() {
             let lo = worker as u64 * chunk;
             let hi = (lo + chunk).min(total);
-            let minimal = &minimal;
-            let free_bits = &free_bits;
+            let space = &space;
             scope.spawn(move || {
-                *slot = enumerate_gray_range(
-                    dataset, outlier_id, detector, utility, minimal, free_bits, lo, hi,
-                );
+                *slot = enumerate_gray_range(dataset, outlier_id, detector, utility, space, lo, hi);
             });
         }
     });
@@ -252,25 +291,20 @@ pub fn enumerate_coe_on(
     for result in results {
         entries.extend(result?);
     }
-    // Deterministic order independent of scheduling, as in `enumerate_coe`.
-    entries.sort_by(|a, b| a.context.cmp(&b.context));
-    let max_utility = entries.iter().map(|e| e.utility).fold(f64::NEG_INFINITY, f64::max);
-    Ok(ReferenceFile {
-        outlier_id,
-        entries,
-        max_utility: if max_utility.is_finite() { max_utility } else { 0.0 },
-        contexts_examined: total as usize,
-    })
+    Ok(space.into_reference(outlier_id, entries))
 }
 
 /// Enumerates `COE_M(D, V)`: every matching context of record `outlier_id`,
 /// with utilities, producing the reference file.
 ///
-/// Only the `2^(t−m)` contexts covering the record are examined. The work is
-/// split across threads when the space is large.
+/// Only the `2^(t−m)` contexts covering the record are examined, serially
+/// on the calling thread; [`enumerate_coe_on`] computes the same file on a
+/// resident pool.
 ///
 /// # Errors
-/// * [`PcorError::TooManyAttributeValues`] when `t` exceeds `limit`;
+/// * [`PcorError::TooManyAttributeValues`] when `t` exceeds `limit` or the
+///   space has `2^64` or more contexts;
+/// * [`PcorError::InvalidConfig`] for out-of-range ids;
 /// * data-layer errors otherwise.
 pub fn enumerate_coe(
     dataset: &Dataset,
@@ -279,69 +313,10 @@ pub fn enumerate_coe(
     utility: &dyn Utility,
     limit: usize,
 ) -> Result<ReferenceFile> {
-    let t = dataset.schema().total_values();
-    if t > limit {
-        return Err(PcorError::TooManyAttributeValues { t, limit });
-    }
-    if outlier_id >= dataset.len() {
-        return Err(PcorError::InvalidConfig(format!(
-            "outlier id {outlier_id} out of range for a dataset of {} records",
-            dataset.len()
-        )));
-    }
-    let minimal = dataset.minimal_context(outlier_id)?;
-    let free_bits: Vec<usize> = (0..t).filter(|&bit| !minimal.get(bit)).collect();
-    let total: u64 = 1u64 << free_bits.len();
-
-    // Parallelize for large spaces; stay single-threaded for small ones to
-    // avoid thread-spawn overhead in tests. Every worker walks its mask
-    // range in Gray-code order on its own incremental cursor.
-    let num_threads = if total >= 4_096 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(16)
-    } else {
-        1
-    };
-
-    let mut entries: Vec<ReferenceEntry> = if num_threads <= 1 {
-        enumerate_gray_range(
-            dataset, outlier_id, detector, utility, &minimal, &free_bits, 0, total,
-        )?
-    } else {
-        let chunk = total.div_ceil(num_threads as u64);
-        let results = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for worker in 0..num_threads as u64 {
-                let lo = worker * chunk;
-                let hi = ((worker + 1) * chunk).min(total);
-                let minimal = &minimal;
-                let free_bits = &free_bits;
-                handles.push(scope.spawn(move || {
-                    enumerate_gray_range(
-                        dataset, outlier_id, detector, utility, minimal, free_bits, lo, hi,
-                    )
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("enumeration worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        let mut out = Vec::new();
-        for r in results {
-            out.extend(r?);
-        }
-        out
-    };
-
-    // Deterministic order independent of thread scheduling.
-    entries.sort_by(|a, b| a.context.cmp(&b.context));
-    let max_utility = entries.iter().map(|e| e.utility).fold(f64::NEG_INFINITY, f64::max);
-    Ok(ReferenceFile {
-        outlier_id,
-        entries,
-        max_utility: if max_utility.is_finite() { max_utility } else { 0.0 },
-        contexts_examined: total as usize,
-    })
+    let space = CoveringSpace::of_record(dataset, outlier_id, limit)?;
+    let entries =
+        enumerate_gray_range(dataset, outlier_id, detector, utility, &space, 0, space.total)?;
+    Ok(space.into_reference(outlier_id, entries))
 }
 
 #[cfg(test)]
@@ -437,8 +412,8 @@ mod tests {
         let utility = PopulationSizeUtility;
         let pool = pcor_runtime::ThreadPool::new(2);
         let via_pool = enumerate_coe_on(&pool, &dataset, 0, &detector, &utility, 22).unwrap();
-        let via_spawn = enumerate_coe(&dataset, 0, &detector, &utility, 22).unwrap();
-        assert_eq!(via_pool, via_spawn, "pool and spawn enumeration must be identical");
+        let serial = enumerate_coe(&dataset, 0, &detector, &utility, 22).unwrap();
+        assert_eq!(via_pool, serial, "pool and serial enumeration must be identical");
         assert!(pool.stats().tasks_submitted > 0, "the enumeration must run on the pool");
         // Error paths mirror enumerate_coe.
         assert!(matches!(
@@ -453,8 +428,7 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_enumeration_agree() {
-        // Use a schema large enough to trigger the parallel path (free bits
-        // >= 12 -> total >= 4096).
+        // A space of 2^12 = 4096 contexts, split across a pool.
         let schema = Schema::new(
             vec![
                 Attribute::from_values("A", &["a0", "a1", "a2", "a3", "a4"]),
@@ -474,14 +448,90 @@ mod tests {
         let dataset = Dataset::new(schema, records).unwrap();
         let detector = ZScoreDetector::new(2.0);
         let utility = PopulationSizeUtility;
-        let reference = enumerate_coe(&dataset, 0, &detector, &utility, 22).unwrap();
-        // The parallel path ran (total = 2^12 = 4096 >= 4096). Verify against
-        // the memoized verifier for a sample of entries.
+        let pool = pcor_runtime::ThreadPool::new(4);
+        let reference = enumerate_coe_on(&pool, &dataset, 0, &detector, &utility, 22).unwrap();
         assert_eq!(reference.contexts_examined, 4096);
+        assert_eq!(reference, enumerate_coe(&dataset, 0, &detector, &utility, 22).unwrap());
+        // Verify against the memoized verifier for a sample of entries.
         let mut verifier = crate::verify::Verifier::new(&dataset, &detector, &utility, 0);
         for entry in reference.entries.iter().take(50) {
             assert!(verifier.is_matching(&entry.context).unwrap());
             assert_eq!(verifier.evaluate(&entry.context).unwrap().utility, entry.utility);
         }
+    }
+
+    #[test]
+    fn pooled_enumeration_equals_serial_on_random_schemas_and_pool_sizes() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(17);
+        let pools: Vec<pcor_runtime::ThreadPool> =
+            (1..=4).map(pcor_runtime::ThreadPool::new).collect();
+        for case in 0..24 {
+            // 2–4 attributes of 2–4 values: up to 2^12 covering contexts, so
+            // a 3-worker pool splits a power-of-two space unevenly.
+            let attributes: Vec<Attribute> = (0..rng.random_range(2..=4usize))
+                .map(|i| {
+                    let size = rng.random_range(2..=4usize);
+                    Attribute::new(format!("A{i}"), (0..size).map(|v| format!("v{v}")).collect())
+                        .unwrap()
+                })
+                .collect();
+            let schema = Schema::new(attributes, "M").unwrap();
+            let records: Vec<Record> = (0..rng.random_range(20..120usize))
+                .map(|id| {
+                    let values = (0..schema.num_attributes())
+                        .map(|attr| {
+                            rng.random_range(0..schema.attribute(attr).domain_size()) as u16
+                        })
+                        .collect();
+                    // Record 0 stands out so most cases have matching contexts.
+                    let metric = if id == 0 { 5_000.0 } else { rng.random_range(90.0..110.0) };
+                    Record::new(values, metric)
+                })
+                .collect();
+            let dataset = Dataset::new(schema, records).unwrap();
+            let detector = ZScoreDetector::new(2.0);
+            let utility = PopulationSizeUtility;
+            let serial = enumerate_coe(&dataset, 0, &detector, &utility, 22).unwrap();
+            for pool in &pools {
+                let pooled = enumerate_coe_on(pool, &dataset, 0, &detector, &utility, 22).unwrap();
+                let workers = pool.workers();
+                assert_eq!(pooled.entries, serial.entries, "case {case}, {workers} workers");
+                assert_eq!(
+                    pooled.max_utility, serial.max_utility,
+                    "case {case}, {workers} workers"
+                );
+                assert_eq!(pooled.contexts_examined, serial.contexts_examined);
+            }
+        }
+    }
+
+    #[test]
+    fn spaces_of_64_or_more_free_bits_are_refused() {
+        // 70 binary attributes: the record's minimal context leaves 70 bits
+        // free, a space of 2^70 contexts that no u64 mask can walk.
+        let attributes: Vec<Attribute> =
+            (0..70).map(|i| Attribute::from_values(&format!("A{i}"), &["x", "y"])).collect();
+        let schema = Schema::new(attributes, "M").unwrap();
+        let records = vec![Record::new(vec![0; 70], 1.0), Record::new(vec![1; 70], 2.0)];
+        let dataset = Dataset::new(schema, records).unwrap();
+        let detector = ZScoreDetector::new(2.5);
+        let utility = PopulationSizeUtility;
+        // The largest t this record admits: its 70 fixed bits plus 63 free.
+        let refused = |result: Result<ReferenceFile>| {
+            matches!(result, Err(PcorError::TooManyAttributeValues { t: 140, limit: 133 }))
+        };
+        assert!(refused(enumerate_coe(&dataset, 0, &detector, &utility, 1_000)));
+        let pool = pcor_runtime::ThreadPool::new(2);
+        assert!(refused(enumerate_coe_on(&pool, &dataset, 0, &detector, &utility, 1_000)));
+        let mut verifier = crate::verify::Verifier::new(&dataset, &detector, &utility, 0);
+        assert!(refused(enumerate_coe_with(&mut verifier, 1_000)));
+        let config = crate::PcorConfig::new(crate::SamplingAlgorithm::Direct, 0.2)
+            .with_enumeration_limit(1_000);
+        let mut rng = <rand_chacha::ChaCha12Rng as rand::SeedableRng>::seed_from_u64(0);
+        assert!(matches!(
+            crate::direct::run(&mut verifier, &config, &mut rng),
+            Err(PcorError::TooManyAttributeValues { t: 140, limit: 133 })
+        ));
     }
 }

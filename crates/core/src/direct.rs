@@ -14,6 +14,7 @@
 //! does not cover `V` can never be matching, so skipping it cannot change the
 //! output distribution.
 
+use crate::coe::CoveringSpace;
 use crate::select::mechanism_draw;
 use crate::verify::Verifier;
 use crate::{PcorConfig, PcorError, PcorResult, Result, SamplingAlgorithm};
@@ -25,7 +26,8 @@ use std::time::Duration;
 ///
 /// # Errors
 /// * [`PcorError::TooManyAttributeValues`] when `2^t` enumeration would be
-///   intractable (`t` above the configured limit);
+///   intractable (`t` above the configured limit, or `2^64` or more
+///   contexts covering the record);
 /// * [`PcorError::NoMatchingContext`] when the record is not a contextual
 ///   outlier;
 /// * verification/mechanism errors otherwise.
@@ -35,19 +37,14 @@ pub fn run<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<PcorResult> {
     let t = verifier.dataset().schema().total_values();
-    if t > config.enumeration_limit {
-        return Err(PcorError::TooManyAttributeValues { t, limit: config.enumeration_limit });
-    }
-    let minimal = verifier.minimal_context()?;
-    let free_bits: Vec<usize> = (0..t).filter(|&bit| !minimal.get(bit)).collect();
+    let space = CoveringSpace::new(t, config.enumeration_limit, || verifier.minimal_context())?;
 
     // Enumerate every super-context of the minimal context (all contexts that
     // cover V) and keep the matching ones.
     let mut matching: Vec<Context> = Vec::new();
-    let combinations: u64 = 1u64 << free_bits.len();
-    for mask in 0..combinations {
-        let mut context = minimal.clone();
-        for (i, &bit) in free_bits.iter().enumerate() {
+    for mask in 0..space.total {
+        let mut context = space.minimal.clone();
+        for (i, &bit) in space.free_bits.iter().enumerate() {
             if (mask >> i) & 1 == 1 {
                 context.set(bit, true);
             }

@@ -46,7 +46,7 @@
 //! ```
 
 use crate::cancel::CancelToken;
-use crate::coe::{enumerate_coe_on, enumerate_coe_with, ReferenceFile};
+use crate::coe::{enumerate_coe_on, enumerate_coe_with, CoveringSpace, ReferenceFile};
 use crate::runner::OutlierQuery;
 use crate::starting::{find_starting_context, DEFAULT_SEARCH_BUDGET};
 use crate::verify::Verifier;
@@ -268,13 +268,13 @@ impl<'a> ReleaseSessionBuilder<'a> {
         self
     }
 
-    /// Lends the session a resident [`ThreadPool`]. The session then runs
-    /// its parallel work on resident workers instead of spawning threads:
+    /// Lends the session a resident [`ThreadPool`], the only executor its
+    /// parallel work runs on (a session without one runs everything on the
+    /// calling thread):
     ///
     /// * every verifier's fused AND/popcount pass shards on the pool via
     ///   [`ShardPolicy::pooled`] (engaging from
-    ///   [`ShardPolicy::POOLED_MIN_WORDS`] words instead of the spawn
-    ///   policy's [`ShardPolicy::AUTO_MIN_WORDS`]), which covers the
+    ///   [`ShardPolicy::POOLED_MIN_WORDS`] words), which covers the
     ///   batched neighbor evaluation of the graph searches;
     /// * large reference-file enumerations run fork-join on the pool
     ///   ([`enumerate_coe_on`]).
@@ -750,7 +750,7 @@ impl<'a> ReleaseSession<'a> {
             )));
         }
         if !self.references.contains_key(&record_id) {
-            let reference = match self.pooled_reference_plan(record_id, limit)? {
+            let reference = match self.pooled_reference_plan(record_id, limit) {
                 Some(pool) => {
                     let reference = enumerate_coe_on(
                         &pool,
@@ -778,23 +778,14 @@ impl<'a> ReleaseSession<'a> {
     /// requires an attached pool with parallelism and a space of at least
     /// `POOLED_REFERENCE_MIN_CONTEXTS` contexts (below that, the serial
     /// memoized walk wins through cache reuse).
-    fn pooled_reference_plan(
-        &self,
-        record_id: usize,
-        limit: usize,
-    ) -> Result<Option<Arc<ThreadPool>>> {
-        let Some(pool) = self.pool.as_ref().filter(|pool| pool.workers() > 1) else {
-            return Ok(None);
-        };
+    fn pooled_reference_plan(&self, record_id: usize, limit: usize) -> Option<Arc<ThreadPool>> {
+        let pool = self.pool.as_ref().filter(|pool| pool.workers() > 1)?;
         let t = self.dataset.schema().total_values();
-        if t > limit {
-            // Let the enumeration entry point raise the canonical error.
-            return Ok(None);
-        }
-        let minimal = self.dataset.minimal_context(record_id)?;
-        let free = (0..t).filter(|&bit| !minimal.get(bit)).count();
-        let contexts = 1u64 << free.min(63);
-        Ok((contexts >= POOLED_REFERENCE_MIN_CONTEXTS).then(|| Arc::clone(pool)))
+        // A space the enumeration refuses stays on the serial path, whose
+        // entry point raises the canonical error.
+        let space =
+            CoveringSpace::new(t, limit, || Ok(self.dataset.minimal_context(record_id)?)).ok()?;
+        (space.total >= POOLED_REFERENCE_MIN_CONTEXTS).then(|| Arc::clone(pool))
     }
 }
 
@@ -996,9 +987,9 @@ mod tests {
         assert_eq!(first_len, second_len);
         // The cached reference costs no fresh verification calls.
         assert_eq!(session.stats().verification_calls, calls_after_first);
-        // It agrees with the parallel enumeration.
-        let via_parallel = crate::coe::enumerate_coe(&d, 0, &detector, &utility, 22).unwrap();
-        assert_eq!(session.reference(0, 22).unwrap().context_set(), via_parallel.context_set());
+        // It agrees with the standalone enumeration.
+        let standalone = crate::coe::enumerate_coe(&d, 0, &detector, &utility, 22).unwrap();
+        assert_eq!(session.reference(0, 22).unwrap().context_set(), standalone.context_set());
     }
 
     #[test]

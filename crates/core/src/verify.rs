@@ -14,9 +14,10 @@
 //! * **Cursor-backed evaluation** — populations come from a
 //!   [`PopulationCursor`] that caches per-attribute union bitmaps; the search
 //!   algorithms move by single-bit context flips, so a fresh evaluation costs
-//!   one block update plus one fused AND/popcount pass (sharded across
-//!   threads for very large `n` per the cursor's [`ShardPolicy`]) instead of
-//!   the full per-attribute loop with two bitmap allocations.
+//!   one block update plus one fused AND/popcount pass (sharded on a
+//!   resident pool for large `n` when the cursor's [`ShardPolicy`] carries
+//!   one, serial otherwise) instead of the full per-attribute loop with two
+//!   bitmap allocations.
 //! * **Fingerprinted memo cache** — the cache is keyed by a 128-bit
 //!   XOR-decomposable fingerprint of the context's words, so hits hash a few
 //!   words and misses insert two `u64`s instead of cloning the context; the
@@ -175,15 +176,15 @@ pub struct Verifier<'a> {
 }
 
 impl<'a> Verifier<'a> {
-    /// Creates a verifier for record `outlier_id` of `dataset` with the
-    /// default (auto) shard policy.
+    /// Creates a verifier for record `outlier_id` of `dataset` whose fused
+    /// passes run serially on the calling thread.
     pub fn new(
         dataset: &'a Dataset,
         detector: &'a dyn OutlierDetector,
         utility: &'a dyn Utility,
         outlier_id: usize,
     ) -> Self {
-        Self::with_shard_policy(dataset, detector, utility, outlier_id, ShardPolicy::auto())
+        Self::with_shard_policy(dataset, detector, utility, outlier_id, ShardPolicy::serial())
     }
 
     /// Creates a verifier with an explicit [`ShardPolicy`] for the fused
@@ -598,8 +599,9 @@ mod tests {
         let utility = PopulationSizeUtility;
         let mut serial =
             Verifier::with_shard_policy(&dataset, &detector, &utility, 9, ShardPolicy::serial());
-        let mut sharded =
-            Verifier::with_shard_policy(&dataset, &detector, &utility, 9, ShardPolicy::forced(3));
+        let pool = std::sync::Arc::new(pcor_runtime::ThreadPool::new(2));
+        let policy = ShardPolicy::pooled_forced(pool, 3);
+        let mut sharded = Verifier::with_shard_policy(&dataset, &detector, &utility, 9, policy);
         for mask in 0..(1u32 << 4) {
             let context = Context::from_indices(4, (0..4).filter(|i| (mask >> i) & 1 == 1));
             assert_eq!(

@@ -14,7 +14,6 @@
 
 use crate::bitmap::RecordBitmap;
 use crate::context::Context;
-use crate::population::PopulationScratch;
 use crate::record::Record;
 use crate::schema::Schema;
 use crate::{DataError, Result};
@@ -105,50 +104,25 @@ impl Dataset {
         self.metric_column[id]
     }
 
-    /// The population bitmap `D_C` of a context.
+    /// The population bitmap `D_C` of a context, evaluated from scratch.
     ///
-    /// Allocates a fresh bitmap per call; hot paths should hold a
-    /// [`PopulationScratch`] and use [`Dataset::population_into`], or a
-    /// [`PopulationCursor`](crate::PopulationCursor) when evaluating a
-    /// sequence of connected contexts.
+    /// Allocates fresh bitmaps per call and re-runs the OR/AND pass over
+    /// every attribute; it is the reference the incremental engine is
+    /// checked against. Hot paths evaluating a sequence of connected
+    /// contexts use a [`PopulationCursor`](crate::PopulationCursor).
     ///
     /// # Errors
     /// Returns [`DataError::ContextLengthMismatch`] when the context does not
     /// match the schema.
     pub fn population(&self, context: &Context) -> Result<RecordBitmap> {
-        let mut scratch = PopulationScratch::for_dataset(self);
-        self.population_into(context, &mut scratch)?;
-        Ok(scratch.into_result())
-    }
-
-    /// Evaluates the population of a context into reusable scratch buffers,
-    /// returning the result bitmap. After the first call on a given scratch
-    /// no allocation happens.
-    ///
-    /// # Errors
-    /// Returns [`DataError::ContextLengthMismatch`] when the context does not
-    /// match the schema, or [`DataError::Malformed`] when the scratch is
-    /// sized for a different dataset.
-    pub fn population_into<'s>(
-        &self,
-        context: &Context,
-        scratch: &'s mut PopulationScratch,
-    ) -> Result<&'s RecordBitmap> {
         if context.len() != self.schema.total_values() {
             return Err(DataError::ContextLengthMismatch {
                 expected: self.schema.total_values(),
                 actual: context.len(),
             });
         }
-        if scratch.len() != self.records.len() {
-            return Err(DataError::Malformed(format!(
-                "population scratch sized for {} records used on a dataset of {}",
-                scratch.len(),
-                self.records.len()
-            )));
-        }
-        let result = &mut scratch.result;
-        let attr_union = &mut scratch.attr_union;
+        let mut result = RecordBitmap::new(self.records.len());
+        let mut attr_union = RecordBitmap::new(self.records.len());
         result.fill();
         for attr in 0..self.schema.num_attributes() {
             attr_union.clear();
@@ -162,11 +136,11 @@ impl Dataset {
             if !any {
                 // No value of this attribute selected: population is empty.
                 result.clear();
-                return Ok(&scratch.result);
+                break;
             }
-            result.intersect_with(attr_union);
+            result.intersect_with(&attr_union);
         }
-        Ok(&scratch.result)
+        Ok(result)
     }
 
     /// Identifiers of the records covered by a context.

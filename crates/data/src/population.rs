@@ -9,28 +9,20 @@
 //!
 //! This module provides the machinery that removes both costs:
 //!
-//! * [`PopulationScratch`] — reusable result/attribute-union bitmaps for
-//!   [`Dataset::population_into`](crate::Dataset::population_into), making a
-//!   from-scratch evaluation allocation-free after the first call;
 //! * [`PopulationCursor`] — a stateful evaluator that caches one union
 //!   bitmap *per attribute*. A one-bit context flip then recomputes only the
 //!   touched attribute's union (an OR over at most `|A_i|` value bitmaps —
 //!   or a single OR when a bit turns on) followed by one fused
 //!   AND + popcount pass over the `m` cached unions, instead of the full
 //!   per-attribute loop over all selected values;
-//! * [`ShardPolicy`] — for large `n`, the fused AND/popcount pass shards the
-//!   record-word space across threads, parallelizing evaluation *within* a
-//!   single release rather than only across releases (the "dataset sharding"
-//!   ROADMAP item). Sharded and serial evaluation are bit-identical: the
-//!   pass is an exact word-wise AND. Two execution modes exist: spawning
-//!   `std::thread::scope` workers per pass (no setup, but tens of
-//!   microseconds of spawn cost, so the auto policy only engages at
-//!   [`ShardPolicy::AUTO_MIN_WORDS`] ≈ 4 M records), or — preferred —
-//!   submitting the shards to a resident [`pcor_runtime::ThreadPool`]
-//!   ([`ShardPolicy::pooled`]), whose amortized dispatch cost is a few
-//!   queue operations and therefore pays from
-//!   [`ShardPolicy::POOLED_MIN_WORDS`] ≈ 260 k records (measured by the
-//!   `pool-breakeven` experiment in `pcor-bench`).
+//! * [`ShardPolicy`] — how that fused pass runs. Without a pool it runs
+//!   serially on the calling thread; with a resident
+//!   [`pcor_runtime::ThreadPool`] ([`ShardPolicy::pooled`]) it shards the
+//!   record-word space across the pool's workers once the pass reaches
+//!   [`ShardPolicy::POOLED_MIN_WORDS`] ≈ 260 k records (the break-even
+//!   measured by the `pool-breakeven` experiment in `pcor-bench`), which
+//!   parallelizes evaluation *within* a single release. Sharded and serial
+//!   evaluation are bit-identical: the pass is an exact word-wise AND.
 
 use crate::bitmap::RecordBitmap;
 use crate::context::Context;
@@ -48,90 +40,34 @@ use std::sync::Arc;
 /// into one of these without this crate knowing what a request is.
 pub type HaltFn = Arc<dyn Fn() -> bool + Send + Sync>;
 
-/// Reusable buffers for from-scratch population evaluation.
-///
-/// Create one per long-lived evaluator (verifier, enumeration worker) and
-/// pass it to [`Dataset::population_into`](crate::Dataset::population_into);
-/// after the first call no evaluation allocates.
-#[derive(Debug, Clone)]
-pub struct PopulationScratch {
-    pub(crate) result: RecordBitmap,
-    pub(crate) attr_union: RecordBitmap,
-}
-
-impl PopulationScratch {
-    /// Creates scratch buffers for datasets of `len` records.
-    pub fn new(len: usize) -> Self {
-        PopulationScratch { result: RecordBitmap::new(len), attr_union: RecordBitmap::new(len) }
-    }
-
-    /// Creates scratch buffers sized for `dataset`.
-    pub fn for_dataset(dataset: &Dataset) -> Self {
-        PopulationScratch::new(dataset.len())
-    }
-
-    /// Number of records the scratch is sized for.
-    pub fn len(&self) -> usize {
-        self.result.len()
-    }
-
-    /// Whether the scratch addresses zero records.
-    pub fn is_empty(&self) -> bool {
-        self.result.is_empty()
-    }
-
-    /// The population bitmap of the most recent
-    /// [`Dataset::population_into`](crate::Dataset::population_into) call.
-    pub fn result(&self) -> &RecordBitmap {
-        &self.result
-    }
-
-    /// Consumes the scratch, yielding the result bitmap.
-    pub fn into_result(self) -> RecordBitmap {
-        self.result
-    }
-}
-
-/// How a sharded fused pass is executed.
-#[derive(Debug, Clone, Default)]
-enum ShardExecutor {
-    /// Spawn fresh `std::thread::scope` workers per pass (the PR 3 design;
-    /// pays thread-spawn cost on every pass).
-    #[default]
-    Spawn,
-    /// Submit the shards to a resident work-stealing pool; the submitting
-    /// thread helps execute, so dispatch costs a few queue operations.
-    Pool(Arc<ThreadPool>),
-}
-
 /// How the fused AND/popcount pass of a [`PopulationCursor`] distributes its
 /// word range across threads.
 ///
-/// Sharding is exact — the pass is a word-wise AND, so sharded and serial
-/// results are bit-identical — but parallelism has a dispatch cost that only
-/// pays off once a single pass streams enough memory:
+/// The only executor is a resident [`pcor_runtime::ThreadPool`]: a policy
+/// without one ([`ShardPolicy::serial`], the default) runs every pass on the
+/// calling thread, and a pooled policy ([`ShardPolicy::pooled`]) splits the
+/// pass into one shard per pool worker once it streams at least
+/// [`ShardPolicy::POOLED_MIN_WORDS`] words. The submitting thread helps
+/// execute its own shards, so dispatch costs a few queue operations and a
+/// pooled pass is safe to run from inside a task on the same pool.
 ///
-/// * spawn-per-pass ([`ShardPolicy::auto`]) costs tens of microseconds of
-///   thread spawns and therefore stays serial below
-///   [`ShardPolicy::AUTO_MIN_WORDS`] words (≈ 4 M records);
-/// * pool-backed ([`ShardPolicy::pooled`]) runs the shards on resident
-///   [`pcor_runtime::ThreadPool`] workers — the submitting thread helps
-///   execute, so the overhead is a few queue operations and the break-even
-///   drops to [`ShardPolicy::POOLED_MIN_WORDS`] words (≈ 260 k records).
+/// Sharding is exact — the pass is a word-wise AND, so sharded and serial
+/// results are bit-identical.
 ///
 /// Every policy also carries the [`KernelKind`] its fused passes run with —
 /// by default the process-wide dispatched kernel ([`kernel::selected`]), so
-/// pooled shards and spawned shards execute the same SIMD implementation as
-/// serial passes. [`ShardPolicy::with_kernel`] pins an explicit kernel for
-/// in-process comparisons (tests, benchmarks).
+/// pooled shards execute the same SIMD implementation as serial passes.
+/// [`ShardPolicy::with_kernel`] pins an explicit kernel for in-process
+/// comparisons (tests, benchmarks).
 #[derive(Clone)]
 pub struct ShardPolicy {
-    /// Maximum number of worker threads for one pass.
-    pub threads: usize,
+    /// Maximum number of shards for one pass.
+    threads: usize,
     /// Minimum number of 64-bit words in the record space before the pass
     /// shards at all.
-    pub min_words: usize,
-    executor: ShardExecutor,
+    min_words: usize,
+    /// The pool the shards run on; `None` means every pass is serial.
+    pool: Option<Arc<ThreadPool>>,
     kernel: KernelKind,
     /// Cooperative stop probe polled between sub-chunks of every pass
     /// (serial and sharded); `None` means passes always run to completion.
@@ -143,7 +79,7 @@ impl std::fmt::Debug for ShardPolicy {
         f.debug_struct("ShardPolicy")
             .field("threads", &self.threads)
             .field("min_words", &self.min_words)
-            .field("executor", &self.executor)
+            .field("pool", &self.pool)
             .field("kernel", &self.kernel)
             .field("halt", &self.halt.as_ref().map(|_| "<fn>"))
             .finish()
@@ -151,54 +87,20 @@ impl std::fmt::Debug for ShardPolicy {
 }
 
 impl ShardPolicy {
-    /// Word threshold of the [`ShardPolicy::auto`] policy: 2^16 words
-    /// (≈ 4.2 M records), below which one AND pass is too cheap to amortize
-    /// thread spawns.
-    pub const AUTO_MIN_WORDS: usize = 1 << 16;
-
     /// Word threshold of the [`ShardPolicy::pooled`] policy: 2^12 words
     /// (≈ 260 k records). A resident pool's fork-join dispatch is a few
     /// queue operations plus at most one wake, which one pass over a few
     /// kilowords already amortizes — see `BENCH_pool.json` for the
-    /// spawn-vs-pool crossover measurement.
+    /// measurement.
     pub const POOLED_MIN_WORDS: usize = 1 << 12;
+
+    fn new(threads: usize, min_words: usize, pool: Option<Arc<ThreadPool>>) -> Self {
+        ShardPolicy { threads, min_words, pool, kernel: kernel::selected(), halt: None }
+    }
 
     /// Never shard; every pass runs on the calling thread.
     pub fn serial() -> Self {
-        ShardPolicy {
-            threads: 1,
-            min_words: usize::MAX,
-            executor: ShardExecutor::Spawn,
-            kernel: kernel::selected(),
-            halt: None,
-        }
-    }
-
-    /// Shard across up to `available_parallelism` (capped at 8) spawned
-    /// threads once the record space reaches
-    /// [`ShardPolicy::AUTO_MIN_WORDS`] words.
-    pub fn auto() -> Self {
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8);
-        ShardPolicy {
-            threads,
-            min_words: Self::AUTO_MIN_WORDS,
-            executor: ShardExecutor::Spawn,
-            kernel: kernel::selected(),
-            halt: None,
-        }
-    }
-
-    /// Shard every pass across `threads` spawned workers regardless of size
-    /// — for tests (bit-identity against serial) and benchmarks; production
-    /// code should prefer [`ShardPolicy::auto`] or [`ShardPolicy::pooled`].
-    pub fn forced(threads: usize) -> Self {
-        ShardPolicy {
-            threads: threads.max(1),
-            min_words: 0,
-            executor: ShardExecutor::Spawn,
-            kernel: kernel::selected(),
-            halt: None,
-        }
+        Self::new(1, usize::MAX, None)
     }
 
     /// Shard on the resident `pool` once the record space reaches
@@ -207,27 +109,13 @@ impl ShardPolicy {
     /// (sharding cannot win without parallelism), so this is always safe to
     /// request — the policy right-sizes itself to the machine.
     pub fn pooled(pool: Arc<ThreadPool>) -> Self {
-        let threads = pool.workers();
-        ShardPolicy {
-            threads,
-            min_words: Self::POOLED_MIN_WORDS,
-            executor: ShardExecutor::Pool(pool),
-            kernel: kernel::selected(),
-            halt: None,
-        }
+        Self::new(pool.workers(), Self::POOLED_MIN_WORDS, Some(pool))
     }
 
     /// Shard every pass on `pool` across `threads` shards regardless of
-    /// size — the pooled counterpart of [`ShardPolicy::forced`], for tests
-    /// and benchmarks.
+    /// size — for tests (bit-identity against serial) and benchmarks.
     pub fn pooled_forced(pool: Arc<ThreadPool>, threads: usize) -> Self {
-        ShardPolicy {
-            threads: threads.max(1),
-            min_words: 0,
-            executor: ShardExecutor::Pool(pool),
-            kernel: kernel::selected(),
-            halt: None,
-        }
+        Self::new(threads.max(1), 0, Some(pool))
     }
 
     /// Pins an explicit fused-pass kernel on this policy. Unsupported kinds
@@ -249,10 +137,7 @@ impl ShardPolicy {
 
     /// The resident pool this policy executes on, if any.
     pub fn pool(&self) -> Option<&Arc<ThreadPool>> {
-        match &self.executor {
-            ShardExecutor::Pool(pool) => Some(pool),
-            ShardExecutor::Spawn => None,
-        }
+        self.pool.as_ref()
     }
 
     /// Attaches a cooperative stop probe: every fused pass (serial or
@@ -288,23 +173,23 @@ impl ShardPolicy {
     }
 }
 
+/// Whether two optional shared handles are both absent or the same
+/// allocation.
+fn same_arc<T: ?Sized>(a: &Option<Arc<T>>, b: &Option<Arc<T>>) -> bool {
+    match (a, b) {
+        (None, None) => true,
+        (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+        _ => false,
+    }
+}
+
 impl PartialEq for ShardPolicy {
     fn eq(&self, other: &Self) -> bool {
-        let same_executor = match (&self.executor, &other.executor) {
-            (ShardExecutor::Spawn, ShardExecutor::Spawn) => true,
-            (ShardExecutor::Pool(a), ShardExecutor::Pool(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        };
-        let same_halt = match (&self.halt, &other.halt) {
-            (None, None) => true,
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        };
         self.threads == other.threads
             && self.min_words == other.min_words
             && self.kernel == other.kernel
-            && same_executor
-            && same_halt
+            && same_arc(&self.pool, &other.pool)
+            && same_arc(&self.halt, &other.halt)
     }
 }
 
@@ -312,7 +197,7 @@ impl Eq for ShardPolicy {}
 
 impl Default for ShardPolicy {
     fn default() -> Self {
-        ShardPolicy::auto()
+        ShardPolicy::serial()
     }
 }
 
@@ -378,14 +263,13 @@ impl<'a> PopulationCursor<'a> {
     /// statistical.
     pub const MOMENT_REFRESH_INTERVAL: u32 = 256;
 
-    /// Positions a new cursor at `context` with the default (auto) shard
-    /// policy.
+    /// Positions a new cursor at `context` with the serial shard policy.
     ///
     /// # Errors
     /// Returns [`DataError::ContextLengthMismatch`] when the context does
     /// not match the dataset's schema.
     pub fn new(dataset: &'a Dataset, context: &Context) -> Result<Self> {
-        Self::with_policy(dataset, context, ShardPolicy::auto())
+        Self::with_policy(dataset, context, ShardPolicy::serial())
     }
 
     /// Positions a new cursor at `context` with an explicit shard policy.
@@ -651,8 +535,7 @@ impl<'a> PopulationCursor<'a> {
 
     /// Recomputes the result bitmap and popcount when stale: one fused pass
     /// computing `AND over attributes i (U_i)` word by word, sharded across
-    /// threads — spawned or pool-resident per the policy — when the policy
-    /// and size warrant it.
+    /// the policy's pool when the policy and size warrant it.
     fn refresh(&mut self) {
         if self.fresh {
             return;
@@ -687,52 +570,29 @@ impl<'a> PopulationCursor<'a> {
         // `Option<(&HaltFn, &AtomicBool)>` is `Copy`, so each shard closure
         // captures its own copy of the probe pair.
         let probe = halt.as_ref().map(|probe| (probe, &halted));
-        if shards <= 1 {
-            self.population_size = run_shard(kernel, first.words(), rest, out, 0, probe);
-        } else {
-            let chunk = out.len().div_ceil(shards);
-            match &self.policy.executor {
-                ShardExecutor::Spawn => {
-                    // Per-shard counts land in the reusable `shard_counts`
-                    // slots (no per-pass handle collection);
-                    // `std::thread::scope` joins every spawned worker on exit
-                    // and propagates its panic.
-                    std::thread::scope(|scope| {
-                        for ((shard, out_chunk), count) in
-                            out.chunks_mut(chunk).enumerate().zip(shard_counts.iter_mut())
-                        {
-                            let lo = shard * chunk;
-                            let first_words = &first.words()[lo..lo + out_chunk.len()];
-                            scope.spawn(move || {
-                                *count = run_shard(kernel, first_words, rest, out_chunk, lo, probe);
-                            });
-                        }
-                    });
-                    let used = out.len().div_ceil(chunk);
-                    self.population_size = shard_counts[..used].iter().sum();
-                }
-                ShardExecutor::Pool(pool) => {
-                    // Resident workers steal the shards while the submitting
-                    // thread helps execute — the dispatch overhead is a few
-                    // queue operations, which is what lowers the break-even to
-                    // `POOLED_MIN_WORDS`. Per-shard counts land in reusable
-                    // slots; a shard panic propagates out of `scope` like the
-                    // spawn path's join would.
-                    pool.scope(|scope| {
-                        for ((shard, out_chunk), count) in
-                            out.chunks_mut(chunk).enumerate().zip(shard_counts.iter_mut())
-                        {
-                            let lo = shard * chunk;
-                            let first_words = &first.words()[lo..lo + out_chunk.len()];
-                            scope.spawn(move || {
-                                *count = run_shard(kernel, first_words, rest, out_chunk, lo, probe);
-                            });
-                        }
-                    });
-                    let used = out.len().div_ceil(chunk);
-                    self.population_size = shard_counts[..used].iter().sum();
-                }
+        match &self.policy.pool {
+            Some(pool) if shards > 1 => {
+                // Resident workers steal the shards while the submitting
+                // thread helps execute — the dispatch overhead is a few
+                // queue operations, which is what lowers the break-even to
+                // `POOLED_MIN_WORDS`. Per-shard counts land in reusable
+                // slots; a shard panic propagates out of `scope`.
+                let chunk = out.len().div_ceil(shards);
+                pool.scope(|scope| {
+                    for ((shard, out_chunk), count) in
+                        out.chunks_mut(chunk).enumerate().zip(shard_counts.iter_mut())
+                    {
+                        let lo = shard * chunk;
+                        let first_words = &first.words()[lo..lo + out_chunk.len()];
+                        scope.spawn(move || {
+                            *count = run_shard(kernel, first_words, rest, out_chunk, lo, probe);
+                        });
+                    }
+                });
+                let used = out.len().div_ceil(chunk);
+                self.population_size = shard_counts[..used].iter().sum();
             }
+            _ => self.population_size = run_shard(kernel, first.words(), rest, out, 0, probe),
         }
         if halted.load(Ordering::Relaxed) {
             // Partial pass: `result` holds a mix of new and stale words.
@@ -1009,8 +869,12 @@ mod tests {
         let context = Context::from_indices(t, [0, 2, 3, 5, 7]);
         let mut serial =
             PopulationCursor::with_policy(&d, &context, ShardPolicy::serial()).unwrap();
+        // One worker and four shards: the submitting thread runs most of
+        // them itself.
+        let pool = Arc::new(ThreadPool::new(1));
         let mut sharded =
-            PopulationCursor::with_policy(&d, &context, ShardPolicy::forced(4)).unwrap();
+            PopulationCursor::with_policy(&d, &context, ShardPolicy::pooled_forced(pool, 4))
+                .unwrap();
         assert_eq!(serial.population(), sharded.population());
         assert_eq!(serial.population_size(), sharded.population_size());
         for bit in 0..t {
@@ -1044,23 +908,12 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reports_its_capacity() {
-        let d = dataset();
-        let scratch = PopulationScratch::for_dataset(&d);
-        assert_eq!(scratch.len(), d.len());
-        assert!(!scratch.is_empty());
-        assert!(PopulationScratch::new(0).is_empty());
-    }
-
-    #[test]
     fn shard_policy_thresholds() {
         assert_eq!(ShardPolicy::serial().shards_for(1 << 20), 1);
-        assert_eq!(ShardPolicy::forced(4).shards_for(10), 4);
-        assert_eq!(ShardPolicy::forced(4).shards_for(2), 2);
-        let auto = ShardPolicy::auto();
-        assert_eq!(auto.shards_for(ShardPolicy::AUTO_MIN_WORDS - 1), 1);
-        assert_eq!(ShardPolicy::default(), auto);
-        const _: () = assert!(ShardPolicy::POOLED_MIN_WORDS < ShardPolicy::AUTO_MIN_WORDS);
+        let pool = Arc::new(ThreadPool::new(2));
+        assert_eq!(ShardPolicy::pooled_forced(Arc::clone(&pool), 4).shards_for(10), 4);
+        assert_eq!(ShardPolicy::pooled_forced(pool, 4).shards_for(2), 2);
+        assert_eq!(ShardPolicy::default(), ShardPolicy::serial());
     }
 
     #[test]
@@ -1078,7 +931,7 @@ mod tests {
         // Equality is by pool identity, not by configuration.
         assert_eq!(policy, ShardPolicy::pooled(Arc::clone(&pool)));
         assert_ne!(policy, ShardPolicy::pooled(Arc::new(ThreadPool::new(3))));
-        assert_ne!(policy, ShardPolicy::auto());
+        assert_ne!(policy, ShardPolicy::serial());
     }
 
     #[test]
@@ -1208,6 +1061,62 @@ mod tests {
     }
 
     #[test]
+    fn pooled_cursor_inside_a_task_on_its_own_busy_pool_matches_serial() {
+        // The serving regime: a session evaluates a pooled cursor from a task
+        // running on that same pool. With the only other worker blocked, the
+        // task's own thread must execute every shard it submits.
+        let d = Arc::new(dataset());
+        let t = d.schema().total_values();
+        let start = Context::from_indices(t, [0, 2, 3, 5, 7]);
+        let mut state = 0x9E3779B97F4A7C15u64;
+        let flips: Vec<usize> = (0..64)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 33) as usize % t
+            })
+            .collect();
+        let pool = Arc::new(ThreadPool::new(2));
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let blocker = pool.spawn(move || {
+            started_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+        });
+        started_rx.recv().unwrap();
+
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let (task_pool, task_data, task_start, task_flips) =
+            (Arc::clone(&pool), Arc::clone(&d), start.clone(), flips.clone());
+        let worker = pool.spawn(move || {
+            let policy = ShardPolicy::pooled_forced(task_pool, 4);
+            let mut cursor =
+                PopulationCursor::with_policy(&task_data, &task_start, policy).unwrap();
+            let mut steps = vec![(cursor.population().clone(), cursor.population_size())];
+            for &bit in &task_flips {
+                cursor.flip(bit);
+                steps.push((cursor.population().clone(), cursor.population_size()));
+            }
+            done_tx.send(steps).unwrap();
+        });
+        let steps = done_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("pooled cursor inside a pool task must not deadlock");
+        release_tx.send(()).unwrap();
+        blocker.join().unwrap();
+        worker.join().unwrap();
+
+        let mut serial = PopulationCursor::with_policy(&d, &start, ShardPolicy::serial()).unwrap();
+        assert_eq!(steps.len(), flips.len() + 1);
+        for (step, (population, size)) in steps.iter().enumerate() {
+            if step > 0 {
+                serial.flip(flips[step - 1]);
+            }
+            assert_eq!(serial.population(), population, "step {step}");
+            assert_eq!(serial.population_size(), *size, "step {step}");
+        }
+    }
+
+    #[test]
     fn halt_before_any_work_interrupts_and_recovers() {
         let d = dataset();
         let t = d.schema().total_values();
@@ -1231,9 +1140,7 @@ mod tests {
         let t = d.schema().total_values();
         let context = Context::from_indices(t, [0, 1, 2, 3, 4, 5, 6, 7, 8]);
         let pool = Arc::new(ThreadPool::new(2));
-        for policy in
-            [ShardPolicy::serial(), ShardPolicy::forced(2), ShardPolicy::pooled_forced(pool, 2)]
-        {
+        for policy in [ShardPolicy::serial(), ShardPolicy::pooled_forced(pool, 2)] {
             let mut cursor = PopulationCursor::with_policy(&d, &context, policy).unwrap();
             // Fires on the second probe: the up-front check passes, then the
             // first shard to probe again trips it and publishes the halt.

@@ -1,11 +1,9 @@
-//! Property-based tests of the incremental population engine: the cursor,
-//! the reusable scratch and the sharded fused pass must all be bit-identical
-//! to the from-scratch `Dataset::population` for any dataset, any context
-//! and any flip sequence.
+//! Property-based tests of the incremental population engine: the cursor
+//! and the pool-sharded fused pass must both be bit-identical to the
+//! from-scratch `Dataset::population` for any dataset, any context and any
+//! flip sequence.
 
-use pcor_data::{
-    Attribute, Context, Dataset, PopulationCursor, PopulationScratch, Record, Schema, ShardPolicy,
-};
+use pcor_data::{Attribute, Context, Dataset, PopulationCursor, Record, Schema, ShardPolicy};
 use pcor_runtime::ThreadPool;
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -71,8 +69,8 @@ proptest! {
 
     /// After ANY sequence of random single-bit flips, the cursor's population
     /// bitmap and popcount equal a from-scratch `Dataset::population` of the
-    /// same context — and both sharded passes (spawn-per-pass and the
-    /// persistent pool) are bit-identical to the serial one at every step.
+    /// same context — and the pool-sharded pass is bit-identical to the
+    /// serial one at every step.
     #[test]
     fn cursor_tracks_from_scratch_population_under_random_flips(
         dataset in dataset_strategy(),
@@ -84,8 +82,6 @@ proptest! {
         let start = seeded_context(t, start_seed);
         let mut serial =
             PopulationCursor::with_policy(&dataset, &start, ShardPolicy::serial()).unwrap();
-        let mut sharded =
-            PopulationCursor::with_policy(&dataset, &start, ShardPolicy::forced(4)).unwrap();
         let mut pooled = PopulationCursor::with_policy(
             &dataset,
             &start,
@@ -98,33 +94,13 @@ proptest! {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let bit = (state >> 33) as usize % t;
             serial.flip(bit);
-            sharded.flip(bit);
             pooled.flip(bit);
             reference.flip(bit);
             let expected = dataset.population(&reference).unwrap();
             prop_assert_eq!(serial.population(), &expected);
             prop_assert_eq!(serial.population_size(), expected.count());
-            prop_assert_eq!(sharded.population(), &expected);
-            prop_assert_eq!(sharded.population_size(), expected.count());
             prop_assert_eq!(pooled.population(), &expected);
             prop_assert_eq!(pooled.population_size(), expected.count());
-        }
-    }
-
-    /// `population_into` on a reused scratch equals the allocating
-    /// `population`, across many contexts on the same scratch.
-    #[test]
-    fn scratch_reuse_matches_fresh_population(
-        dataset in dataset_strategy(),
-        seeds in proptest::collection::vec(any::<u64>(), 1..8),
-    ) {
-        let t = dataset.schema().total_values();
-        let mut scratch = PopulationScratch::for_dataset(&dataset);
-        for seed in seeds {
-            let context = seeded_context(t, seed);
-            let expected = dataset.population(&context).unwrap();
-            let via_scratch = dataset.population_into(&context, &mut scratch).unwrap();
-            prop_assert_eq!(via_scratch, &expected);
         }
     }
 

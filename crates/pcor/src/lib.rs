@@ -79,8 +79,7 @@ pub mod prelude {
         homicide_dataset, salary_dataset, HomicideConfig, SalaryConfig,
     };
     pub use pcor_data::{
-        Attribute, Context, Dataset, PopulationCursor, PopulationScratch, Record, Schema,
-        ShardPolicy,
+        Attribute, Context, Dataset, PopulationCursor, Record, Schema, ShardPolicy,
     };
     pub use pcor_dp::{
         BudgetAccountant, ExponentialMechanism, LaplaceMechanism, MechanismKind, MechanismTally,

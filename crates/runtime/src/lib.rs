@@ -6,15 +6,11 @@
 //! spirit of rayon/crossbeam rather than a wrapper around them).
 //!
 //! Why it exists: the paper's end-to-end latency is dominated by repeated
-//! `f_M` verification, and the incremental engine's *sharded* fused
-//! AND/popcount pass used to spawn fresh `std::thread::scope` workers per
-//! pass. Spawning costs tens of microseconds, so sharding could only engage
-//! beyond ~4 M records, and the serving layer additionally parked one OS
-//! thread per worker. A single resident pool amortizes worker startup to
-//! zero per task, which moves the shard break-even orders of magnitude
-//! lower (see the `pool-breakeven` experiment in `pcor-bench`) and lets one
-//! set of threads serve *both* intra-release sharding and inter-release
-//! concurrency.
+//! `f_M` verification. The pool is the workspace's one executor for that
+//! work: resident workers amortize startup to zero per task, so the sharded
+//! fused AND/popcount pass pays from a few thousand record words (see the
+//! `pool-breakeven` experiment in `pcor-bench`), and one set of threads
+//! serves *both* intra-release sharding and inter-release concurrency.
 //!
 //! The pieces:
 //!
