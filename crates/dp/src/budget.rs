@@ -140,27 +140,16 @@ fn validate_epsilon(epsilon: f64) -> Result<()> {
     Ok(())
 }
 
-/// Tracks privacy budget spending across multiple private releases.
-///
-/// Besides the immediate [`spend`](BudgetAccountant::spend), the accountant
-/// supports a two-phase **reserve/commit/refund** protocol for concurrent
-/// serving (used by `pcor-service`): a request first *reserves* its `ε` —
-/// which counts against the remaining budget immediately, so parallel
-/// requests can never jointly over-commit — and then either *commits* the
-/// reservation (the release happened; the spend becomes permanent) or
-/// *refunds* it (the release failed before consuming any privacy; the
-/// budget is returned). It also supports [`split`](BudgetAccountant::split),
-/// which carves a delegated sub-budget out of the remaining `ε`.
+/// Tracks privacy budget spending across multiple private releases: each
+/// [`spend`](BudgetAccountant::spend) is checked against the remaining
+/// budget and recorded, and [`split`](BudgetAccountant::split) carves a
+/// delegated sub-budget out of it. This is the single-caller accountant
+/// for composing releases by hand; the concurrent reserve/commit/refund
+/// protocol of the serving layer lives in `pcor-service`'s ledger.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BudgetAccountant {
     total: f64,
     spent: f64,
-    reserved: f64,
-    /// Reservations not yet resolved. `reserved` is a running float sum,
-    /// so it is reset to exactly `0.0` when the last one resolves in full
-    /// instead of keeping the rounding residue of the additions and
-    /// subtractions.
-    open: usize,
 }
 
 impl BudgetAccountant {
@@ -170,7 +159,7 @@ impl BudgetAccountant {
     /// Returns [`DpError::InvalidEpsilon`] for non-positive totals.
     pub fn new(total: f64) -> Result<Self> {
         validate_epsilon(total)?;
-        Ok(BudgetAccountant { total, spent: 0.0, reserved: 0.0, open: 0 })
+        Ok(BudgetAccountant { total, spent: 0.0 })
     }
 
     /// Total budget.
@@ -178,20 +167,14 @@ impl BudgetAccountant {
         self.total
     }
 
-    /// Budget spent so far (committed releases only).
+    /// Budget spent so far.
     pub fn spent(&self) -> f64 {
         self.spent
     }
 
-    /// Budget currently reserved by in-flight releases (exactly `0.0`
-    /// whenever no reservation is open).
-    pub fn reserved(&self) -> f64 {
-        self.reserved
-    }
-
-    /// Budget still available (total minus spent minus in-flight reservations).
+    /// Budget still available (total minus spent).
     pub fn remaining(&self) -> f64 {
-        (self.total - self.spent - self.reserved).max(0.0)
+        (self.total - self.spent).max(0.0)
     }
 
     /// Whether a release costing `epsilon` fits in the remaining budget.
@@ -213,75 +196,6 @@ impl BudgetAccountant {
             });
         }
         self.spent += epsilon;
-        Ok(())
-    }
-
-    /// Reserves `epsilon` for an in-flight release. Reserved budget counts
-    /// against [`remaining`](BudgetAccountant::remaining) until it is either
-    /// [committed](BudgetAccountant::commit) or
-    /// [refunded](BudgetAccountant::refund).
-    ///
-    /// # Errors
-    /// Returns [`DpError::BudgetExceeded`] when the reservation does not fit
-    /// and [`DpError::InvalidEpsilon`] for non-positive amounts.
-    pub fn reserve(&mut self, epsilon: f64) -> Result<()> {
-        validate_epsilon(epsilon)?;
-        if !self.can_spend(epsilon) {
-            return Err(DpError::BudgetExceeded {
-                requested: epsilon,
-                remaining: self.remaining(),
-            });
-        }
-        self.reserved += epsilon;
-        self.open += 1;
-        Ok(())
-    }
-
-    /// Converts `epsilon` of reserved budget into a permanent spend (the
-    /// release consumed its privacy budget).
-    ///
-    /// # Errors
-    /// Returns [`DpError::InvalidEpsilon`] if `epsilon` exceeds the currently
-    /// reserved amount (a protocol violation) or is non-positive.
-    pub fn commit(&mut self, epsilon: f64) -> Result<()> {
-        self.settle(epsilon, epsilon)
-    }
-
-    /// Returns `epsilon` of reserved budget to the pool (the release failed
-    /// before invoking any mechanism, so no privacy was consumed).
-    ///
-    /// # Errors
-    /// As [`commit`](BudgetAccountant::commit).
-    pub fn refund(&mut self, epsilon: f64) -> Result<()> {
-        self.settle(epsilon, 0.0)
-    }
-
-    /// Resolves `epsilon` of reserved budget at once: `spend` of it
-    /// becomes a permanent spend and the rest returns to the pool (a batch
-    /// whose failed items refund their slices). Resolving one whole
-    /// reservation this way closes it, exactly like
-    /// [`commit`](BudgetAccountant::commit) or
-    /// [`refund`](BudgetAccountant::refund) of its amount.
-    ///
-    /// # Errors
-    /// As [`commit`](BudgetAccountant::commit), plus
-    /// [`DpError::InvalidEpsilon`] when `spend` is outside `[0, epsilon]`.
-    pub fn settle(&mut self, epsilon: f64, spend: f64) -> Result<()> {
-        validate_epsilon(epsilon)?;
-        if epsilon > self.reserved + 1e-12 {
-            return Err(DpError::InvalidEpsilon(epsilon));
-        }
-        if !(0.0..=epsilon).contains(&spend) {
-            return Err(DpError::InvalidEpsilon(spend));
-        }
-        self.open = self.open.saturating_sub(1);
-        let left = self.reserved - epsilon;
-        // Once the last open reservation resolves in full, drop the
-        // rounding residue of the running sum. A resolution of less than
-        // what is held (a partial commit) keeps the rest reserved; clamp
-        // to zero so repeated float subtraction cannot drift negative.
-        self.reserved = if self.open == 0 && left.abs() <= 1e-12 { 0.0 } else { left.max(0.0) };
-        self.spent += spend;
         Ok(())
     }
 
@@ -403,72 +317,6 @@ mod tests {
         assert!(acct.remaining() < 1e-12);
         assert!(acct.spend(-0.1).is_err());
         assert!(BudgetAccountant::new(0.0).is_err());
-    }
-
-    #[test]
-    fn reservations_gate_remaining_budget() {
-        let mut acct = BudgetAccountant::new(1.0).unwrap();
-        acct.reserve(0.4).unwrap();
-        assert!((acct.reserved() - 0.4).abs() < 1e-12);
-        assert!((acct.remaining() - 0.6).abs() < 1e-12);
-        // A second reservation that would jointly over-commit is refused.
-        assert!(matches!(acct.reserve(0.7), Err(DpError::BudgetExceeded { .. })));
-        // Committing moves the reservation into permanent spend.
-        acct.commit(0.4).unwrap();
-        assert!((acct.spent() - 0.4).abs() < 1e-12);
-        assert!(acct.reserved().abs() < 1e-12);
-        assert!((acct.remaining() - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn refund_returns_budget_untouched() {
-        let mut acct = BudgetAccountant::new(0.5).unwrap();
-        acct.reserve(0.3).unwrap();
-        acct.refund(0.3).unwrap();
-        assert_eq!(acct.spent(), 0.0);
-        assert!((acct.remaining() - 0.5).abs() < 1e-12);
-        // Protocol violations are rejected: more than reserved, bad amounts.
-        assert!(acct.commit(0.1).is_err());
-        assert!(acct.refund(0.1).is_err());
-        acct.reserve(0.2).unwrap();
-        assert!(acct.commit(0.3).is_err());
-        assert!(acct.refund(-0.1).is_err());
-        acct.commit(0.2).unwrap();
-    }
-
-    #[test]
-    fn reserved_is_exactly_zero_once_every_reservation_resolves() {
-        let mut acct = BudgetAccountant::new(1.0).unwrap();
-        for _ in 0..3 {
-            acct.reserve(0.1).unwrap();
-        }
-        // 0.1 + 0.1 + 0.1 - 0.1 - 0.1 - 0.1 leaves 2.8e-17 in float.
-        acct.commit(0.1).unwrap();
-        acct.refund(0.1).unwrap();
-        assert!(acct.reserved() > 0.0);
-        acct.commit(0.1).unwrap();
-        assert_eq!(acct.reserved(), 0.0);
-        assert!((acct.spent() - 0.2).abs() < 1e-12);
-        // A split resolution resolves one reservation, not two.
-        acct.reserve(0.3).unwrap();
-        acct.reserve(0.1).unwrap();
-        acct.settle(0.3, 0.2).unwrap();
-        assert!((acct.reserved() - 0.1).abs() < 1e-12);
-        acct.settle(0.1, 0.0).unwrap();
-        assert_eq!(acct.reserved(), 0.0);
-        assert!((acct.spent() - 0.4).abs() < 1e-12);
-        assert!(acct.settle(0.1, 0.0).is_err(), "nothing is reserved");
-        acct.reserve(0.1).unwrap();
-        assert!(acct.settle(0.1, 0.2).is_err(), "cannot spend more than the reservation");
-        acct.refund(0.1).unwrap();
-        // A partial commit of the only reservation keeps the rest reserved.
-        acct.reserve(0.4).unwrap();
-        acct.commit(0.2).unwrap();
-        assert!((acct.reserved() - 0.2).abs() < 1e-12);
-        assert!((acct.remaining() - 0.2).abs() < 1e-12);
-        acct.commit(0.2).unwrap();
-        assert_eq!(acct.reserved(), 0.0);
-        assert!((acct.spent() - 0.8).abs() < 1e-12);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! # What is journaled
 //!
 //! Every audited [`BudgetEvent`] — reserve, commit, refund, refusal — is
-//! appended to the WAL **inside the accountant-lock critical section**,
+//! appended to the WAL **inside the ledger-lock critical section**,
 //! stamped with the audit log's logical clock. The on-disk record order is
-//! therefore exactly the order the accountant applied the operations, and
+//! therefore exactly the order the ledger folded the events in, and
 //! the recovered stream is gap-free by construction
 //! ([`AuditLog::verify_events_contiguous`] gates every replay).
 //!
@@ -21,13 +21,19 @@
 //! # Recovery
 //!
 //! [`DurableLedger::open`] replays the log: the newest checkpoint (if any)
-//! restores each account's `(total, spent)` wholesale, the event tail is
-//! folded on top via the same arithmetic as [`AuditLog::fold`], and any
-//! reservation left dangling by a crash — `Reserved` with no matching
-//! `Committed`/`Refunded` — is refunded with a *synthesized* `Refunded`
-//! event appended to both the audit log and the WAL. The synthesized
-//! refund makes recovery idempotent: a second replay of the same log sees
-//! the trace balanced and repairs nothing.
+//! restores each account's `(total, spent)` wholesale, and the event tail
+//! is folded on top through [`AuditAccount::apply`], the step the live
+//! ledger folds every event with. The holds the tail
+//! leaves open are the reservations a crash left dangling — `Reserved`
+//! with no matching `Committed`/`Refunded` — and each is refunded through
+//! the ledger's one recording path, so its `Refunded` event lands in both
+//! the audit log and the WAL. That refund makes recovery idempotent: a
+//! second replay of the same log sees the hold closed and repairs
+//! nothing. After a checkpointed restart the snapshot equals the
+//! checkpoint plus the fold of the tail; without a checkpoint it equals
+//! the fold of the whole log.
+//!
+//! [`AuditAccount::apply`]: pcor_telemetry::AuditAccount::apply
 //!
 //! # Warm restarts
 //!
@@ -85,16 +91,15 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Outstanding ε below this threshold is float noise, not a dangling
-/// reservation.
-const DANGLING_EPSILON: f64 = 1e-12;
-
 /// Configuration of the durable ledger's WAL.
 #[derive(Debug, Clone)]
 pub struct WalConfig {
     /// Directory holding the log segments; created if absent.
     pub dir: PathBuf,
-    /// When records are flushed to stable storage.
+    /// When records are flushed to stable storage. Under
+    /// [`FsyncPolicy::EveryNRecords`]`(n)` a power cut can lose up to
+    /// `n − 1` acknowledged records, `Committed` ones included: recovery
+    /// then refunds ε for a release that was already published.
     pub fsync: FsyncPolicy,
     /// Segment rotation threshold in bytes.
     pub segment_max_bytes: u64,
@@ -602,62 +607,27 @@ impl DurableLedger {
         let telemetry = Telemetry::with_audit(audit);
         ledger.attach_telemetry(telemetry.clone());
 
-        // Restore balances: checkpoint accounts wholesale, then the tail's
-        // committed ε folded on top. Tail-only accounts open against their
-        // configured grant (`remaining` on an untouched account).
-        let mut balances: std::collections::BTreeMap<(String, String), (f64, f64)> =
-            std::collections::BTreeMap::new();
-        if let Some(cp) = &checkpoint {
-            for account in &cp.accounts {
-                balances.insert(
-                    (account.analyst.clone(), account.dataset.clone()),
-                    (account.total, account.spent),
-                );
-            }
-        }
-        for ((analyst, dataset), folded) in AuditLog::fold_events(&events) {
-            let entry = balances
-                .entry((analyst.clone(), dataset.clone()))
-                .or_insert_with(|| (ledger.remaining(&analyst, &dataset), 0.0));
-            entry.1 += folded.committed;
-        }
-        let accounts_restored = balances.len();
-        for ((analyst, dataset), (total, spent)) in &balances {
-            ledger.restore_account(analyst, dataset, *total, *spent)?;
-        }
-
-        // Attach the journal before repairing, so synthesized refunds are
+        // Attach the journal before recovery, so the dangling refunds are
         // persisted like any live refund.
         let journal = Journal::new(wal, &config);
         ledger.attach_journal(journal.clone());
 
-        // Refund dangling reservations: per (account, trace) outstanding ε
-        // in the tail. One synthesized event per dangling key makes the
-        // repair idempotent — a second replay sees the trace balanced.
-        let mut outstanding: std::collections::BTreeMap<(String, String, u64), f64> =
-            std::collections::BTreeMap::new();
-        for event in &events {
-            let (analyst, dataset) = event.account();
-            let key = (analyst.to_string(), dataset.to_string(), event.trace());
-            match event {
-                BudgetEvent::Reserved { epsilon, .. } => {
-                    *outstanding.entry(key).or_default() += epsilon
-                }
-                BudgetEvent::Committed { epsilon, .. } | BudgetEvent::Refunded { epsilon, .. } => {
-                    *outstanding.entry(key).or_default() -= epsilon
-                }
-                BudgetEvent::Refused { .. } => {}
+        // Restore the checkpoint accounts wholesale, then fold the tail on
+        // top through the live fold step; the holds it leaves open are the
+        // reservations a crash left dangling, and each is refunded through
+        // the ledger's one recording path. The refund closes its hold in
+        // the log too, so a second replay repairs nothing.
+        if let Some(cp) = &checkpoint {
+            for account in &cp.accounts {
+                ledger.restore_account(
+                    &account.analyst,
+                    &account.dataset,
+                    account.total,
+                    account.spent,
+                )?;
             }
         }
-        let mut dangling_refunded = 0usize;
-        let mut refunded_epsilon = 0.0;
-        for ((analyst, dataset, trace), epsilon) in outstanding {
-            if epsilon > DANGLING_EPSILON {
-                ledger.synthesize_refund(&analyst, &dataset, epsilon, trace)?;
-                dangling_refunded += 1;
-                refunded_epsilon += epsilon;
-            }
-        }
+        let (accounts_restored, dangling_refunded, refunded_epsilon) = ledger.replay(&events)?;
         journal.sync()?;
 
         let report = RecoveryReport {
@@ -862,13 +832,22 @@ mod tests {
         assert!((durable.ledger().remaining("alice", "salary") - 0.7).abs() < 1e-12);
         assert_eq!(durable.report().events_replayed, 4);
         assert_eq!(durable.report().dangling_refunded, 0);
+        // The restored balances reach the budget gauges before any new
+        // movement does.
+        let labels = &[("analyst", "alice"), ("dataset", "salary")];
+        let registry = durable.telemetry().registry();
+        assert_eq!(registry.gauge("pcor_budget_spent_epsilon", labels).get(), 0.3);
+        assert_eq!(
+            registry.gauge("pcor_budget_remaining_epsilon", labels).get(),
+            durable.ledger().remaining("alice", "salary")
+        );
         // The invariant the whole subsystem exists for:
         // snapshot ≡ fold(replayed events).
         let folded = durable.telemetry().audit().fold();
         for entry in durable.ledger().snapshot() {
             let account = &folded[&(entry.analyst.clone(), entry.dataset.clone())];
-            assert!((account.committed - entry.spent).abs() < 1e-12);
-            assert!((account.outstanding() - entry.reserved).abs() < 1e-12);
+            assert_eq!(account.committed, entry.spent);
+            assert_eq!(account.outstanding(), entry.reserved);
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -896,7 +875,7 @@ mod tests {
         );
         let folded = durable.telemetry().audit().fold();
         let account = &folded[&("alice".to_string(), "salary".to_string())];
-        assert!(account.outstanding().abs() < 1e-12, "synthesized refund balances the log");
+        assert_eq!(account.outstanding(), 0.0, "the recovery refund balances the log");
         drop(durable);
 
         // Idempotence: a second replay of the repaired log is a no-op.
@@ -941,15 +920,31 @@ mod tests {
             // Checkpoint while the reservation is in flight: its Reserved
             // event is compacted away, its Committed lands in the tail.
             durable.checkpoint(None).unwrap();
+            // A second hold in the same account, left dangling by a crash:
+            // the straddling commit must not cancel it.
+            let dangling =
+                durable.ledger().reserve_traced("alice", "salary", 0.3, 2, None).unwrap();
+            std::mem::forget(dangling);
             durable.ledger().commit(held);
         }
         let durable = open(&dir, 1.0);
-        assert!((durable.ledger().spent("alice", "salary") - 0.4).abs() < 1e-12);
+        assert_eq!(durable.ledger().spent("alice", "salary"), 0.4);
         assert_eq!(
             durable.report().dangling_refunded,
-            0,
-            "a tail commit without its reserved event is not dangling"
+            1,
+            "only the dangling hold is refunded; a tail commit without its Reserved is not dangling"
         );
+        assert_eq!(durable.report().refunded_epsilon, 0.3);
+        assert_eq!(durable.ledger().remaining("alice", "salary"), 1.0 - 0.4);
+        assert_eq!(durable.ledger().snapshot()[0].reserved, 0.0);
+        drop(durable);
+
+        // The refund closed the hold in the log: a second reopen repairs
+        // nothing.
+        let durable = open(&dir, 1.0);
+        assert_eq!(durable.report().dangling_refunded, 0);
+        assert_eq!(durable.report().refunded_epsilon, 0.0);
+        assert_eq!(durable.ledger().remaining("alice", "salary"), 1.0 - 0.4);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

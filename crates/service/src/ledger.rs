@@ -3,8 +3,8 @@
 //! The custodian grants every analyst an OCDP budget **per dataset** (the
 //! guarantee composes sequentially across an analyst's queries against the
 //! same data; queries against disjoint datasets do not compose). The ledger
-//! maps `(analyst, dataset)` to a [`pcor_dp::BudgetAccountant`] and drives
-//! its two-phase protocol:
+//! keeps each `(analyst, dataset)` account as its grant plus an
+//! [`AuditAccount`] and drives a two-phase protocol:
 //!
 //! 1. [`reserve`](BudgetLedger::reserve) — atomically check-and-hold the
 //!    request's ε; concurrent requests see each other's holds, so the sum
@@ -16,39 +16,68 @@
 //! Dropping a [`Reservation`] without committing refunds it automatically,
 //! so a panicking worker cannot leak budget.
 //!
-//! # Audit log and ordering
+//! # One path for every ε movement
 //!
-//! With a [`Telemetry`] bundle attached
-//! ([`attach_telemetry`](BudgetLedger::attach_telemetry)), every ε movement
-//! appends a [`BudgetEvent`] to the bundle's audit log **while holding the
-//! ledger lock**. The audit log's logical clock therefore totally orders
-//! the events exactly as the accountant applied them: folding the events
-//! replays every account's state, and a [`snapshot`](BudgetLedger::snapshot)
-//! (also taken under the lock) is always consistent with the prefix of the
-//! log visible at that instant — the invariant
-//! `snapshot ≡ fold(audit events)` the service tests assert, and the
-//! ground the ROADMAP's write-ahead ledger will replay from. Per-account
+//! Every movement — reserve, refusal, the rollback of a reserve the journal
+//! refused, commit, refund, partial commit, the drop-guard refund and
+//! recovery's dangling refund — is a [`BudgetEvent`] that takes one path
+//! **while holding the ledger lock**: it is folded into its account with
+//! [`AuditAccount::apply`], appended to the attached [`Telemetry`]'s audit
+//! log ([`attach_telemetry`](BudgetLedger::attach_telemetry)) and journaled
+//! to the attached WAL. The account *is* the fold of the events it
+//! recorded, so a [`snapshot`](BudgetLedger::snapshot) (also taken under
+//! the lock) equals [`AuditLog::fold`](pcor_telemetry::AuditLog::fold) of
+//! the log visible at that instant, bit for bit, and the durable ledger
+//! replays its WAL tail through the same step. Per-account
 //! `pcor_budget_spent_epsilon` / `pcor_budget_remaining_epsilon` gauges are
-//! refreshed on the same occasions.
+//! refreshed on the same path.
 
 use crate::durable::Journal;
 use crate::{Result, ServiceError};
-use pcor_dp::BudgetAccountant;
-use pcor_telemetry::{BudgetEvent, Telemetry};
+use pcor_telemetry::{AuditAccount, BudgetEvent, Telemetry};
 use pcor_wal::CommitTicket;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// The key of one budget account.
 type AccountKey = (String, String);
 
+/// One budget account: its grant and the fold of its events.
+#[derive(Debug)]
+struct Account {
+    grant: f64,
+    audit: AuditAccount,
+}
+
+impl Account {
+    fn new(grant: f64) -> Self {
+        Account { grant, audit: AuditAccount::default() }
+    }
+
+    /// ε still available: the grant minus committed and held ε.
+    fn remaining(&self) -> f64 {
+        (self.grant - self.audit.committed - self.audit.outstanding()).max(0.0)
+    }
+
+    fn entry(&self, (analyst, dataset): &AccountKey) -> LedgerEntry {
+        LedgerEntry {
+            analyst: analyst.clone(),
+            dataset: dataset.clone(),
+            total: self.grant,
+            spent: self.audit.committed,
+            reserved: self.audit.outstanding(),
+            remaining: self.remaining(),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct LedgerInner {
-    accounts: HashMap<AccountKey, BudgetAccountant>,
-    grants: HashMap<AccountKey, f64>,
+    accounts: BTreeMap<AccountKey, Account>,
+    grants: BTreeMap<AccountKey, f64>,
     /// Attached observability bundle; events and gauges are emitted under
-    /// the ledger lock so audit order equals accountant order.
+    /// the ledger lock so audit order equals account order.
     telemetry: Option<Telemetry>,
     /// Attached WAL journal; every audited event is appended here, still
     /// under the ledger lock, so the on-disk order equals the audit order.
@@ -56,16 +85,61 @@ struct LedgerInner {
 }
 
 impl LedgerInner {
-    /// Refreshes the account's spent/remaining gauges (no-op when no
-    /// telemetry is attached or the account does not exist).
-    fn publish_gauges(&self, key: &AccountKey) {
-        let (Some(telemetry), Some(account)) = (&self.telemetry, self.accounts.get(key)) else {
-            return;
-        };
-        let labels = &[("analyst", key.0.as_str()), ("dataset", key.1.as_str())];
-        let registry = telemetry.registry();
-        registry.gauge("pcor_budget_spent_epsilon", labels).set(account.spent());
-        registry.gauge("pcor_budget_remaining_epsilon", labels).set(account.remaining());
+    /// The account under `key`, opened at its grant on first touch.
+    fn open(&mut self, key: &AccountKey, default_grant: f64) -> &mut Account {
+        if !self.accounts.contains_key(key) {
+            let grant = self.grants.get(key).copied().unwrap_or(default_grant);
+            self.accounts.insert(key.clone(), Account::new(grant));
+        }
+        self.accounts.get_mut(key).expect("account opened above")
+    }
+
+    /// The one path every ε movement takes: folds `event` into the open
+    /// account under `key`, appends it to the audit log and journals it
+    /// (`commit_point` drives [`pcor_wal::FsyncPolicy::OnCommit`]).
+    /// Returns the account's remaining ε right after the event and the
+    /// journal's answer (an empty ticket without a journal).
+    fn record(
+        &mut self,
+        key: &AccountKey,
+        event: BudgetEvent,
+        commit_point: bool,
+    ) -> (f64, Result<CommitTicket>) {
+        debug_assert_eq!(event.account(), (key.0.as_str(), key.1.as_str()));
+        let account = self.accounts.get_mut(key).expect("events touch open accounts");
+        account.audit.apply(&event);
+        let remaining = account.remaining();
+        let mut journaled = Ok(CommitTicket::NONE);
+        if let Some(telemetry) = &self.telemetry {
+            let moved = !matches!(event, BudgetEvent::Refused { .. });
+            let seq = telemetry.audit().append(event.clone());
+            if let Some(journal) = &self.journal {
+                journaled = journal.append(&event.with_seq(seq), commit_point);
+            }
+            if moved {
+                publish_gauges(telemetry, key, account);
+            }
+        }
+        (remaining, journaled)
+    }
+}
+
+/// Refreshes the account's spent/remaining gauges.
+fn publish_gauges(telemetry: &Telemetry, (analyst, dataset): &AccountKey, account: &Account) {
+    let labels = &[("analyst", analyst.as_str()), ("dataset", dataset.as_str())];
+    let registry = telemetry.registry();
+    registry.gauge("pcor_budget_spent_epsilon", labels).set(account.audit.committed);
+    registry.gauge("pcor_budget_remaining_epsilon", labels).set(account.remaining());
+}
+
+/// The `Refunded` event returning `epsilon` of `trace`'s hold on `key`.
+fn refunded((analyst, dataset): &AccountKey, epsilon: f64, trace: u64) -> BudgetEvent {
+    BudgetEvent::Refunded {
+        seq: 0,
+        analyst: analyst.clone(),
+        dataset: dataset.clone(),
+        epsilon,
+        trace,
     }
 }
 
@@ -136,71 +210,44 @@ impl Reservation {
         self.trace
     }
 
-    fn resolve(&mut self, commit: bool) -> Option<(Journal, CommitTicket)> {
-        self.resolve_split(if commit { self.epsilon } else { 0.0 })
-    }
-
     /// Commits `spend` of the held ε and refunds the rest, atomically under
     /// the ledger lock. `spend = 0` refunds everything; `spend = ε` commits
-    /// everything.
+    /// everything. Returns the account's remaining ε, read in the same
+    /// critical section.
     ///
-    /// Under group commit a spend's journal append defers its fsync; the
-    /// returned `(journal, ticket)` pair must be awaited **after** the
-    /// ledger lock is released so concurrent commits share one flush.
-    fn resolve_split(&mut self, spend: f64) -> Option<(Journal, CommitTicket)> {
-        if self.resolved {
-            return None;
-        }
+    /// The privacy, if any, is already released, so journaling is
+    /// best-effort: a WAL failure parks the event in the journal's backlog
+    /// (subsequent *reserves* refuse while the breaker is open) but cannot
+    /// un-resolve. Under group commit a spend's journal append defers its
+    /// fsync; the returned `(journal, ticket)` pair must be awaited
+    /// **after** the ledger lock is released so concurrent commits share
+    /// one flush.
+    fn resolve(&mut self, spend: f64) -> (f64, Option<(Journal, CommitTicket)>) {
         self.resolved = true;
         let spend = spend.clamp(0.0, self.epsilon);
         let refund = self.epsilon - spend;
-        let mut pending = None;
         let mut inner = self.inner.lock().expect("ledger poisoned");
-        if let Some(account) = inner.accounts.get_mut(&self.key) {
-            let outcome = account.settle(self.epsilon, spend);
-            debug_assert!(outcome.is_ok(), "reservation resolution violated the protocol");
-        }
-        // Audit while still holding the lock: event order == account order.
-        // The commit/refund has already been applied to the accountant (the
-        // privacy, if any, is already released), so journaling here is
-        // best-effort: a WAL failure parks the event in the journal's
-        // backlog — subsequent *reserves* refuse while the breaker is
-        // open — but cannot un-resolve.
-        if let Some(telemetry) = &inner.telemetry {
-            if spend > 0.0 {
-                let event = BudgetEvent::Committed {
-                    seq: 0,
-                    analyst: self.key.0.clone(),
-                    dataset: self.key.1.clone(),
-                    epsilon: spend,
-                    mechanism: self.mechanism.clone(),
-                    trace: self.trace,
-                };
-                let seq = telemetry.audit().append(event.clone());
-                if let Some(journal) = &inner.journal {
-                    if let Ok(ticket) = journal.append(&event.with_seq(seq), true) {
-                        if ticket.pending() {
-                            pending = Some((journal.clone(), ticket));
-                        }
-                    }
-                }
-            }
-            if refund > 0.0 {
-                let event = BudgetEvent::Refunded {
-                    seq: 0,
-                    analyst: self.key.0.clone(),
-                    dataset: self.key.1.clone(),
-                    epsilon: refund,
-                    trace: self.trace,
-                };
-                let seq = telemetry.audit().append(event.clone());
-                if let Some(journal) = &inner.journal {
-                    let _ = journal.append(&event.with_seq(seq), false);
-                }
+        let mut pending = None;
+        let mut remaining = 0.0;
+        if spend > 0.0 {
+            let event = BudgetEvent::Committed {
+                seq: 0,
+                analyst: self.key.0.clone(),
+                dataset: self.key.1.clone(),
+                epsilon: spend,
+                mechanism: self.mechanism.clone(),
+                trace: self.trace,
+            };
+            let (left, journaled) = inner.record(&self.key, event, true);
+            remaining = left;
+            if let (Ok(ticket), Some(journal)) = (journaled, &inner.journal) {
+                pending = ticket.pending().then(|| (journal.clone(), ticket));
             }
         }
-        inner.publish_gauges(&self.key);
-        pending
+        if refund > 0.0 {
+            remaining = inner.record(&self.key, refunded(&self.key, refund, self.trace), false).0;
+        }
+        (remaining, pending)
     }
 }
 
@@ -210,8 +257,10 @@ impl Drop for Reservation {
         // release ran to completion; no privacy was released, so refund.
         // Refunds never carry a commit ticket, so there is nothing to
         // await here.
-        let pending = self.resolve(false);
-        debug_assert!(pending.is_none(), "a refund must not defer an fsync");
+        if !self.resolved {
+            let (_, pending) = self.resolve(0.0);
+            debug_assert!(pending.is_none(), "a refund must not defer an fsync");
+        }
     }
 }
 
@@ -223,8 +272,8 @@ impl BudgetLedger {
         assert!(default_grant.is_finite() && default_grant > 0.0, "default grant must be positive");
         BudgetLedger {
             inner: Arc::new(Mutex::new(LedgerInner {
-                accounts: HashMap::new(),
-                grants: HashMap::new(),
+                accounts: BTreeMap::new(),
+                grants: BTreeMap::new(),
                 telemetry: None,
                 journal: None,
             })),
@@ -257,16 +306,13 @@ impl BudgetLedger {
         inner.journal = Some(journal);
     }
 
-    /// Restores one account to `(total, spent)` during WAL recovery,
-    /// without emitting audit events or journal records (the events that
-    /// justify this state are the ones just replayed).
-    ///
-    /// A `spent` exceeding `total` (a grant shrunk between runs) raises the
-    /// restored total to `spent`: committed ε is never un-spent.
+    /// Restores one checkpointed account to `(total, spent)` during WAL
+    /// recovery, without emitting audit events or journal records (the
+    /// events that justify this state were compacted into the checkpoint).
     ///
     /// # Errors
-    /// Returns [`ServiceError::Durability`] when the pair cannot form a
-    /// valid accountant (non-finite or negative values).
+    /// Returns [`ServiceError::Durability`] for non-finite or negative
+    /// values.
     pub(crate) fn restore_account(
         &self,
         analyst: &str,
@@ -279,61 +325,50 @@ impl BudgetLedger {
                 "cannot restore account ({analyst}, {dataset}): total {total}, spent {spent}"
             )));
         }
-        let spent = spent.max(0.0);
-        let total = total.max(spent).max(f64::MIN_POSITIVE);
-        let mut account = BudgetAccountant::new(total).map_err(|err| {
-            ServiceError::Durability(format!(
-                "cannot restore account ({analyst}, {dataset}): {err}"
-            ))
-        })?;
-        if spent > 0.0 {
-            account.reserve(spent).and_then(|()| account.commit(spent)).map_err(|err| {
-                ServiceError::Durability(format!(
-                    "cannot restore account ({analyst}, {dataset}): {err}"
-                ))
-            })?;
-        }
+        let mut account = Account::new(total);
+        account.audit.committed = spent.max(0.0);
         let mut inner = self.inner.lock().expect("ledger poisoned");
-        let key = (analyst.to_string(), dataset.to_string());
-        inner.accounts.insert(key.clone(), account);
-        inner.publish_gauges(&key);
+        inner.accounts.insert((analyst.to_string(), dataset.to_string()), account);
         Ok(())
     }
 
-    /// Appends a synthesized `Refunded` event for a dangling reservation
-    /// found during WAL recovery — audited and journaled like a live
-    /// refund, but without touching the accountant (the restored account
-    /// already excludes the dangling hold).
+    /// Folds a replayed WAL tail into the accounts through the live fold
+    /// step, opening tail-only accounts at their configured grant, then
+    /// refunds every hold left open — a reservation a crash left dangling —
+    /// through the ledger's one recording path, each refund durable before
+    /// the next. A grant shrunk below an account's recorded spend between
+    /// runs is raised to it: committed ε is never un-spent. Returns
+    /// `(accounts, dangling refunds, refunded ε)`.
     ///
     /// # Errors
-    /// Returns [`ServiceError::Durability`] when the journal refuses the
-    /// record: recovery must not acknowledge a repair it could not persist.
-    pub(crate) fn synthesize_refund(
-        &self,
-        analyst: &str,
-        dataset: &str,
-        epsilon: f64,
-        trace: u64,
-    ) -> Result<()> {
-        let inner = self.inner.lock().expect("ledger poisoned");
-        let Some(telemetry) = &inner.telemetry else {
-            return Err(ServiceError::Durability(
-                "cannot synthesize a refund without telemetry".to_string(),
-            ));
-        };
-        let event = BudgetEvent::Refunded {
-            seq: 0,
-            analyst: analyst.to_string(),
-            dataset: dataset.to_string(),
-            epsilon,
-            trace,
-        };
-        let seq = telemetry.audit().append(event.clone());
-        if let Some(journal) = &inner.journal {
-            let ticket = journal.append(&event.with_seq(seq), true)?;
-            journal.wait_durable(ticket)?;
+    /// Returns [`ServiceError::Durability`] when the journal refuses a
+    /// refund: recovery must not acknowledge a repair it could not persist.
+    pub(crate) fn replay(&self, events: &[BudgetEvent]) -> Result<(usize, usize, f64)> {
+        let mut inner = self.inner.lock().expect("ledger poisoned");
+        for event in events {
+            let (analyst, dataset) = event.account();
+            let key = (analyst.to_string(), dataset.to_string());
+            inner.open(&key, self.default_grant).audit.apply(event);
         }
-        Ok(())
+        let mut dangling = Vec::new();
+        for (key, account) in &mut inner.accounts {
+            account.grant = account.grant.max(account.audit.committed);
+            dangling.extend(account.audit.holds().iter().map(|&hold| (key.clone(), hold)));
+        }
+        let mut refunded_epsilon = 0.0;
+        for (key, (trace, epsilon)) in &dangling {
+            let ticket = inner.record(key, refunded(key, *epsilon, *trace), true).1?;
+            if let Some(journal) = &inner.journal {
+                journal.wait_durable(ticket)?;
+            }
+            refunded_epsilon += epsilon;
+        }
+        if let Some(telemetry) = &inner.telemetry {
+            for (key, account) in &inner.accounts {
+                publish_gauges(telemetry, key, account);
+            }
+        }
+        Ok((inner.accounts.len(), dangling.len(), refunded_epsilon))
     }
 
     /// Writes a compaction checkpoint through the attached journal, under
@@ -356,18 +391,7 @@ impl BudgetLedger {
             return Err(ServiceError::Durability("no journal attached".to_string()));
         };
         let clock = inner.telemetry.as_ref().map(|t| t.audit().clock()).unwrap_or(0);
-        let entries: Vec<LedgerEntry> = inner
-            .accounts
-            .iter()
-            .map(|((analyst, dataset), account)| LedgerEntry {
-                analyst: analyst.clone(),
-                dataset: dataset.clone(),
-                total: account.total(),
-                spent: account.spent(),
-                reserved: account.reserved(),
-                remaining: account.remaining(),
-            })
-            .collect();
+        let entries = inner.accounts.iter().map(|(key, account)| account.entry(key)).collect();
         let payload = build(clock, entries);
         journal.checkpoint(&payload)?;
         Ok(clock)
@@ -425,127 +449,80 @@ impl BudgetLedger {
                 ));
             }
         }
-        let grant = inner.grants.get(&key).copied().unwrap_or(self.default_grant);
-        let account = inner
-            .accounts
-            .entry(key.clone())
-            .or_insert_with(|| BudgetAccountant::new(grant).expect("grant validated above"));
-        match account.reserve(epsilon) {
-            Ok(()) => {
-                let mut journal_error = None;
-                if let Some(telemetry) = &inner.telemetry {
-                    let event = BudgetEvent::Reserved {
-                        seq: 0,
-                        analyst: key.0.clone(),
-                        dataset: key.1.clone(),
-                        epsilon,
-                        mechanism: mechanism.clone(),
-                        trace,
-                    };
-                    let seq = telemetry.audit().append(event.clone());
-                    if let Some(journal) = &inner.journal {
-                        if let Err(err) = journal.append(&event.with_seq(seq), false) {
-                            journal_error = Some(err);
-                        }
-                    }
-                }
-                if let Some(err) = journal_error {
-                    // The hold could not be made durable *now*: roll it
-                    // back and refuse the request rather than serve a
-                    // release the restarted ledger might not remember.
-                    // Both the rollback and the failed reserve are offered
-                    // to the journal — its backlog preserves them in audit
-                    // order, so when the disk heals the WAL is still a
-                    // contiguous prefix of the audit log.
-                    if let Some(account) = inner.accounts.get_mut(&key) {
-                        let _ = account.refund(epsilon);
-                    }
-                    if let Some(telemetry) = &inner.telemetry {
-                        let event = BudgetEvent::Refunded {
-                            seq: 0,
-                            analyst: key.0.clone(),
-                            dataset: key.1.clone(),
-                            epsilon,
-                            trace,
-                        };
-                        let seq = telemetry.audit().append(event.clone());
-                        if let Some(journal) = &inner.journal {
-                            let _ = journal.append(&event.with_seq(seq), false);
-                        }
-                    }
-                    inner.publish_gauges(&key);
-                    return Err(err);
-                }
-                inner.publish_gauges(&key);
-                Ok(Reservation {
-                    key,
-                    epsilon,
-                    inner: Arc::clone(&self.inner),
-                    resolved: false,
-                    trace,
-                    mechanism,
-                })
-            }
-            Err(_) => {
-                let remaining = account.remaining();
-                if let Some(telemetry) = &inner.telemetry {
-                    let event = BudgetEvent::Refused {
-                        seq: 0,
-                        analyst: key.0.clone(),
-                        dataset: key.1.clone(),
-                        requested: epsilon,
-                        remaining,
-                        trace,
-                    };
-                    let seq = telemetry.audit().append(event.clone());
-                    if let Some(journal) = &inner.journal {
-                        let _ = journal.append(&event.with_seq(seq), false);
-                    }
-                }
-                Err(ServiceError::BudgetExhausted {
-                    analyst: analyst.to_string(),
-                    dataset: dataset.to_string(),
-                    requested: epsilon,
-                    remaining,
-                })
-            }
+        let remaining = inner.open(&key, self.default_grant).remaining();
+        if epsilon > remaining + 1e-12 {
+            let event = BudgetEvent::Refused {
+                seq: 0,
+                analyst: key.0.clone(),
+                dataset: key.1.clone(),
+                requested: epsilon,
+                remaining,
+                trace,
+            };
+            let _ = inner.record(&key, event, false);
+            return Err(ServiceError::BudgetExhausted {
+                analyst: key.0,
+                dataset: key.1,
+                requested: epsilon,
+                remaining,
+            });
         }
+        let event = BudgetEvent::Reserved {
+            seq: 0,
+            analyst: key.0.clone(),
+            dataset: key.1.clone(),
+            epsilon,
+            mechanism: mechanism.clone(),
+            trace,
+        };
+        if let (_, Err(err)) = inner.record(&key, event, false) {
+            // The hold could not be made durable *now*: roll it back and
+            // refuse the request rather than serve a release the restarted
+            // ledger might not remember. Both the rollback and the failed
+            // reserve are offered to the journal — its backlog preserves
+            // them in audit order, so when the disk heals the WAL is still
+            // a contiguous prefix of the audit log.
+            let _ = inner.record(&key, refunded(&key, epsilon, trace), false);
+            return Err(err);
+        }
+        Ok(Reservation {
+            key,
+            epsilon,
+            inner: Arc::clone(&self.inner),
+            resolved: false,
+            trace,
+            mechanism,
+        })
     }
 
     /// Commits a reservation: the held ε becomes a permanent spend.
     /// Returns the account's remaining budget.
-    pub fn commit(&self, mut reservation: Reservation) -> f64 {
-        let pending = reservation.resolve(true);
-        Self::await_durable(pending);
-        self.remaining(reservation.analyst(), reservation.dataset())
+    pub fn commit(&self, reservation: Reservation) -> f64 {
+        let epsilon = reservation.epsilon;
+        self.commit_partial(reservation, epsilon)
     }
 
     /// Refunds a reservation: the held ε returns to the account.
     /// Returns the account's remaining budget.
-    pub fn refund(&self, mut reservation: Reservation) -> f64 {
-        let pending = reservation.resolve(false);
-        Self::await_durable(pending);
-        self.remaining(reservation.analyst(), reservation.dataset())
+    pub fn refund(&self, reservation: Reservation) -> f64 {
+        self.commit_partial(reservation, 0.0)
     }
 
     /// Resolves a reservation partially: `spend` of the held ε becomes a
     /// permanent spend and the remainder returns to the account — the
     /// batch-release primitive (failed items refund their slices while the
     /// successful slices commit). `spend` is clamped to `[0, ε]`.
-    /// Returns the account's remaining budget.
+    /// Returns the account's remaining budget, read in the critical
+    /// section that resolved the reservation.
     pub fn commit_partial(&self, mut reservation: Reservation, spend: f64) -> f64 {
-        let pending = reservation.resolve_split(spend);
-        Self::await_durable(pending);
-        self.remaining(reservation.analyst(), reservation.dataset())
-    }
-
-    /// Awaits a deferred commit fsync outside the ledger lock — the group
-    /// commit rendezvous. A sync failure is already counted by the
-    /// journal; the commit stands in memory either way.
-    fn await_durable(pending: Option<(Journal, CommitTicket)>) {
+        let (remaining, pending) = reservation.resolve(spend);
+        // The group-commit rendezvous, outside the ledger lock. A sync
+        // failure is already counted by the journal; the commit stands in
+        // memory either way.
         if let Some((journal, ticket)) = pending {
             let _ = journal.wait_durable(ticket);
         }
+        remaining
     }
 
     /// The ε still available to `analyst` on `dataset` (the full grant if
@@ -563,26 +540,13 @@ impl BudgetLedger {
     pub fn spent(&self, analyst: &str, dataset: &str) -> f64 {
         let key = (analyst.to_string(), dataset.to_string());
         let inner = self.inner.lock().expect("ledger poisoned");
-        inner.accounts.get(&key).map(|a| a.spent()).unwrap_or(0.0)
+        inner.accounts.get(&key).map(|account| account.audit.committed).unwrap_or(0.0)
     }
 
     /// A snapshot of every opened account, sorted by analyst then dataset.
     pub fn snapshot(&self) -> Vec<LedgerEntry> {
         let inner = self.inner.lock().expect("ledger poisoned");
-        let mut entries: Vec<LedgerEntry> = inner
-            .accounts
-            .iter()
-            .map(|((analyst, dataset), account)| LedgerEntry {
-                analyst: analyst.clone(),
-                dataset: dataset.clone(),
-                total: account.total(),
-                spent: account.spent(),
-                reserved: account.reserved(),
-                remaining: account.remaining(),
-            })
-            .collect();
-        entries.sort_by(|a, b| (&a.analyst, &a.dataset).cmp(&(&b.analyst, &b.dataset)));
-        entries
+        inner.accounts.iter().map(|(key, account)| account.entry(key)).collect()
     }
 }
 
@@ -743,8 +707,9 @@ mod tests {
             let account = accounts
                 .get(&(entry.analyst.clone(), entry.dataset.clone()))
                 .expect("every ledger account has audit events");
-            assert!((account.committed - entry.spent).abs() < 1e-12);
-            assert!((account.outstanding() - entry.reserved).abs() < 1e-12);
+            assert_eq!(account.committed, entry.spent);
+            assert_eq!(account.outstanding(), entry.reserved);
+            assert_eq!(entry.reserved, 0.0);
         }
         // The refusal is on the record, stamped with its trace-less id.
         let alice = accounts.get(&("alice".to_string(), "salary".to_string())).unwrap();
@@ -764,7 +729,7 @@ mod tests {
 
     /// Any interleaving of reserve/commit/refund/partial/panic across
     /// threads must leave the audit log balanced (zero ε outstanding), the
-    /// fold equal to the accountant's view, and the spent/remaining gauges
+    /// fold equal to the ledger's view, and the spent/remaining gauges
     /// equal to the ledger's own answers.
     #[test]
     fn concurrent_interleavings_balance_the_audit_log_and_gauges() {
@@ -809,14 +774,10 @@ mod tests {
         });
         let accounts = telemetry.audit().fold();
         let account = accounts.get(&("trent".to_string(), "salary".to_string())).unwrap();
-        assert!(
-            account.outstanding().abs() < 1e-9,
-            "audit log leaked ε: {}",
-            account.outstanding()
-        );
+        assert_eq!(account.outstanding(), 0.0, "audit log leaked ε");
         let spent = ledger.spent("trent", "salary");
         let remaining = ledger.remaining("trent", "salary");
-        assert!((account.committed - spent).abs() < 1e-9, "fold disagrees with the accountant");
+        assert_eq!(account.committed, spent, "fold disagrees with the ledger");
         assert!((4.0 - spent - remaining).abs() < 1e-9, "ε vanished from the account");
         let labels = &[("analyst", "trent"), ("dataset", "salary")];
         let registry = telemetry.registry();

@@ -17,9 +17,11 @@
 //!   every graph-based release; caching it turns repeat queries against the
 //!   same record into cheap work.
 //! * [`BudgetLedger`] — per-`(analyst, dataset)`
-//!   budget accounts wrapping [`pcor_dp::BudgetAccountant`]'s two-phase
-//!   reserve/commit/refund protocol, so concurrent requests can never
-//!   jointly over-spend and failed releases return their ε.
+//!   budget accounts driven by a two-phase reserve/commit/refund protocol,
+//!   so concurrent requests can never jointly over-spend and failed
+//!   releases return their ε. Each account is its grant plus the fold of
+//!   the [`pcor_telemetry::BudgetEvent`]s it recorded, so the ledger, its
+//!   audit log and its write-ahead log hold one budget truth.
 //! * [`RequestEnvelope`] /
 //!   [`ResponseEnvelope`] — the **versioned wire
 //!   protocol**: every message is an envelope whose body is either a

@@ -15,19 +15,52 @@ use std::time::Duration;
 const ANALYSTS: [&str; 3] = ["alice", "bob", "carol"];
 const DATASETS: [&str; 2] = ["salary", "census"];
 
-/// Asserts the two lifecycle invariants on a quiesced ledger + audit pair:
-/// no account holds outstanding ε, and the ledger snapshot is exactly the
-/// fold of the audit events (spent = committed, remaining = total - spent).
+/// Asserts that the ledger snapshot *is* the fold of the audit events,
+/// with `==` and not within a tolerance: spent = committed and reserved =
+/// outstanding for every account. Holds at every step, not only once the
+/// ledger quiesced.
+fn assert_snapshot_is_the_fold(
+    ledger: &BudgetLedger,
+    audit: &AuditLog,
+) -> std::result::Result<(), proptest::test_runner::TestCaseError> {
+    let accounts = audit.fold();
+    let snapshot = ledger.snapshot();
+    prop_assert_eq!(snapshot.len(), accounts.len(), "every account has audit events");
+    for entry in &snapshot {
+        let account = &accounts[&(entry.analyst.clone(), entry.dataset.clone())];
+        prop_assert!(
+            entry.spent == account.committed,
+            "{}/{}: snapshot spent {} != audit fold {}",
+            entry.analyst,
+            entry.dataset,
+            entry.spent,
+            account.committed
+        );
+        prop_assert!(
+            entry.reserved == account.outstanding(),
+            "{}/{}: snapshot reserved {} != audit outstanding {}",
+            entry.analyst,
+            entry.dataset,
+            entry.reserved,
+            account.outstanding()
+        );
+    }
+    Ok(())
+}
+
+/// Asserts the lifecycle invariants on a quiesced ledger + audit pair: the
+/// snapshot is the fold, no account holds outstanding ε (exactly `0.0`),
+/// and remaining = total − spent.
 fn assert_no_leaks(
     ledger: &BudgetLedger,
     audit: &AuditLog,
     grant: f64,
 ) -> std::result::Result<(), proptest::test_runner::TestCaseError> {
     audit.verify_contiguous().expect("audit seqs must be gap-free");
-    let accounts = audit.fold();
-    for ((analyst, dataset), account) in &accounts {
+    assert_snapshot_is_the_fold(ledger, audit)?;
+    for ((analyst, dataset), account) in &audit.fold() {
         prop_assert!(
-            account.outstanding().abs() < 1e-9,
+            account.outstanding() == 0.0,
             "{analyst}/{dataset} leaked {} ε of unresolved reservations",
             account.outstanding()
         );
@@ -40,19 +73,7 @@ fn assert_no_leaks(
         );
     }
     for entry in ledger.snapshot() {
-        let folded = accounts
-            .get(&(entry.analyst.clone(), entry.dataset.clone()))
-            .map(|account| account.committed)
-            .unwrap_or(0.0);
-        prop_assert!(
-            (entry.spent - folded).abs() < 1e-9,
-            "{}/{}: snapshot spent {} != audit fold {}",
-            entry.analyst,
-            entry.dataset,
-            entry.spent,
-            folded
-        );
-        prop_assert!(entry.reserved.abs() < 1e-9, "quiesced ledger still holds reservations");
+        prop_assert!(entry.reserved == 0.0, "quiesced ledger still holds reservations");
         prop_assert!(
             (entry.remaining - (grant - entry.spent)).abs() < 1e-9,
             "{}/{}: remaining {} != {} - spent {}",
@@ -67,18 +88,20 @@ fn assert_no_leaks(
 }
 
 /// One scripted move against the ledger: open a reservation, or resolve an
-/// arbitrary open one by committing, refunding, or dropping it (the
-/// cancellation path — a request that died mid-flight).
+/// arbitrary open one by committing, refunding, dropping it (the
+/// cancellation path — a request that died mid-flight) or committing part
+/// of it (a batch whose failed items refund their slices).
 fn ops() -> impl Strategy<Value = Vec<(u8, u8, f64)>> {
-    proptest::collection::vec((0u8..5, any::<u8>(), 0.01f64..0.5), 1..60)
+    proptest::collection::vec((0u8..6, any::<u8>(), 0.01f64..0.5), 1..60)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any interleaving of reserve / commit / refund / drop across several
-    /// accounts resolves every reservation exactly once: zero leaked ε and
-    /// snapshot ≡ fold(audit), including when reserves are refused.
+    /// Any interleaving of reserve / commit / refund / drop / partial
+    /// commit across several accounts resolves every reservation exactly
+    /// once: snapshot == fold(audit) after every move, including when
+    /// reserves are refused, and exactly zero leaked ε at the end.
     #[test]
     fn interleaved_reservations_never_leak_epsilon(ops in ops()) {
         let grant = 3.0;
@@ -118,8 +141,15 @@ proptest! {
                     // reservation drops unresolved, which must refund.
                     drop(open.swap_remove(target as usize % open.len()));
                 }
+                5 if !open.is_empty() => {
+                    // Commit part of the hold and refund the rest; a spend
+                    // at or above the held ε commits it whole.
+                    let reservation = open.swap_remove(target as usize % open.len());
+                    ledger.commit_partial(reservation, epsilon);
+                }
                 _ => {}
             }
+            assert_snapshot_is_the_fold(&ledger, telemetry.audit())?;
         }
         drop(open);
         assert_no_leaks(&ledger, telemetry.audit(), grant)?;

@@ -5,11 +5,12 @@
 //! dataset, the ε involved, the mechanism (when known), the release's trace
 //! id and a **logical clock** (`seq`). The emitting ledger appends while
 //! holding its account lock, so the logical clock is consistent with the
-//! accountant's own operation order: replaying the events in `seq` order
-//! reproduces every account's `spent`/`reserved` state exactly — the
-//! [`AuditLog::fold`] invariant the service tests assert, and the property
-//! that makes this log the precursor of the ROADMAP's write-ahead ledger
-//! (a WAL replays the same stream from disk instead of memory).
+//! ledger's own operation order. The ledger keeps each account as an
+//! [`AuditAccount`] and folds every event into it with
+//! [`AuditAccount::apply`], the same step [`AuditLog::fold`] loops over,
+//! so folding the log reproduces every account's `spent`/`reserved` state
+//! bit for bit. The durable ledger journals the same stream to its
+//! write-ahead log and replays it through the same step on restart.
 //!
 //! Balance invariant: for every trace, the reserved ε equals the committed
 //! plus refunded ε once the release resolves — ε can move between `spent`
@@ -23,7 +24,7 @@ use std::sync::Mutex;
 /// One ε movement in the budget ledger.
 ///
 /// `seq` is the log's logical clock: strictly increasing, assigned under
-/// the emitting ledger's account lock, so event order == accountant
+/// the emitting ledger's account lock, so event order == ledger
 /// operation order. `trace` links the event to the release's trace (0 when
 /// the operation ran outside a traced request).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -174,9 +175,13 @@ impl std::fmt::Display for SeqError {
 
 impl std::error::Error for SeqError {}
 
+/// What a drained hold may keep and still close: the ledger's admission
+/// slack, so reservations sharing a trace id cannot strand float residue.
+const CLOSE_SLACK: f64 = 1e-12;
+
 /// The replayed state of one `(analyst, dataset)` account, produced by
-/// [`AuditLog::fold`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// [`AuditLog::fold`] and kept live by the budget ledger.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AuditAccount {
     /// ε committed (a permanent spend).
     pub committed: f64,
@@ -186,22 +191,75 @@ pub struct AuditAccount {
     pub reserved: f64,
     /// Reservations refused.
     pub refusals: u64,
+    /// Open holds as `(trace, ε)`, in reserve order.
+    holds: Vec<(u64, f64)>,
 }
 
 impl AuditAccount {
-    /// ε currently held by unresolved reservations:
-    /// `reserved − committed − refunded`.
+    /// Folds one event into the account. A `Committed` or `Refunded`
+    /// event closes the open hold of its trace holding exactly its ε (a
+    /// whole resolution); otherwise it takes its ε from that trace's holds
+    /// in reserve order, closing each one it empties to within the
+    /// ledger's `1e-12` admission slack (the committed part of a split
+    /// resolution leaves the rest, which its refund then matches exactly).
+    /// An event with no hold of its trace open, such as one whose
+    /// `Reserved` was compacted into a checkpoint, only moves
+    /// `committed`/`refunded`: it never touches another trace's hold.
+    pub fn apply(&mut self, event: &BudgetEvent) {
+        match *event {
+            BudgetEvent::Reserved { epsilon, trace, .. } => {
+                self.reserved += epsilon;
+                self.holds.push((trace, epsilon));
+            }
+            BudgetEvent::Committed { epsilon, trace, .. } => {
+                self.committed += epsilon;
+                self.release(trace, epsilon);
+            }
+            BudgetEvent::Refunded { epsilon, trace, .. } => {
+                self.refunded += epsilon;
+                self.release(trace, epsilon);
+            }
+            BudgetEvent::Refused { .. } => self.refusals += 1,
+        }
+    }
+
+    fn release(&mut self, trace: u64, mut epsilon: f64) {
+        if let Some(index) = self.holds.iter().position(|&hold| hold == (trace, epsilon)) {
+            self.holds.remove(index);
+            return;
+        }
+        self.holds.retain_mut(|(t, held)| {
+            if *t != trace || epsilon <= 0.0 {
+                true
+            } else if *held <= epsilon + CLOSE_SLACK {
+                epsilon -= *held;
+                false
+            } else {
+                *held -= epsilon;
+                epsilon = 0.0;
+                true
+            }
+        });
+    }
+
+    /// ε currently held by unresolved reservations: the sum of the open
+    /// holds in reserve order, exactly `0.0` when none is open.
     pub fn outstanding(&self) -> f64 {
-        self.reserved - self.committed - self.refunded
+        self.holds.iter().fold(0.0, |sum, &(_, epsilon)| sum + epsilon)
+    }
+
+    /// The open holds as `(trace, ε)`, in reserve order.
+    pub fn holds(&self) -> &[(u64, f64)] {
+        &self.holds
     }
 }
 
 /// The append-only budget audit log.
 ///
 /// Appends assign the logical clock atomically and push under a short
-/// mutex; reads copy. The log is bounded only by memory — a serving
-/// deployment would periodically drain it to durable storage (the WAL the
-/// ROADMAP plans); tests and examples read it in place.
+/// mutex; reads copy. The log is bounded only by memory; the durable
+/// ledger journals every event to its write-ahead log as well, and a
+/// restart rebuilds the log from the WAL tail after the newest checkpoint.
 #[derive(Debug, Default)]
 pub struct AuditLog {
     clock: AtomicU64,
@@ -275,19 +333,13 @@ impl AuditLog {
         Self::fold_events(&events)
     }
 
-    /// The same fold over an externally-held event stream (e.g. one just
-    /// replayed from a WAL, before any log exists to hold it).
+    /// The same fold over an externally-held event stream (e.g. one a
+    /// client collected).
     pub fn fold_events(events: &[BudgetEvent]) -> BTreeMap<(String, String), AuditAccount> {
         let mut accounts: BTreeMap<(String, String), AuditAccount> = BTreeMap::new();
         for event in events {
             let (analyst, dataset) = event.account();
-            let account = accounts.entry((analyst.to_string(), dataset.to_string())).or_default();
-            match event {
-                BudgetEvent::Reserved { epsilon, .. } => account.reserved += epsilon,
-                BudgetEvent::Committed { epsilon, .. } => account.committed += epsilon,
-                BudgetEvent::Refunded { epsilon, .. } => account.refunded += epsilon,
-                BudgetEvent::Refused { .. } => account.refusals += 1,
-            }
+            accounts.entry((analyst.to_string(), dataset.to_string())).or_default().apply(event);
         }
         accounts
     }
@@ -399,14 +451,80 @@ mod tests {
             trace: 2,
         });
         let folded = log.fold();
-        let alice = folded[&("alice".to_string(), "d".to_string())];
+        let alice = &folded[&("alice".to_string(), "d".to_string())];
         assert!((alice.reserved - 0.6).abs() < 1e-12);
         assert!((alice.committed - 0.4).abs() < 1e-12);
         assert!((alice.refunded - 0.2).abs() < 1e-12);
-        assert!(alice.outstanding().abs() < 1e-12, "resolved traces leak no ε");
-        let bob = folded[&("bob".to_string(), "d".to_string())];
+        assert_eq!(alice.outstanding(), 0.0, "resolved traces leak no ε");
+        let bob = &folded[&("bob".to_string(), "d".to_string())];
         assert_eq!(bob.refusals, 1);
         assert_eq!(bob.outstanding(), 0.0);
+    }
+
+    fn resolved(committed: bool, epsilon: f64, trace: u64) -> BudgetEvent {
+        let (analyst, dataset) = ("alice".to_string(), "d".to_string());
+        if committed {
+            BudgetEvent::Committed { seq: 0, analyst, dataset, epsilon, mechanism: None, trace }
+        } else {
+            BudgetEvent::Refunded { seq: 0, analyst, dataset, epsilon, trace }
+        }
+    }
+
+    fn fold_all(events: &[BudgetEvent]) -> AuditAccount {
+        let mut account = AuditAccount::default();
+        events.iter().for_each(|event| account.apply(event));
+        account
+    }
+
+    #[test]
+    fn a_split_resolution_closes_its_hold_exactly() {
+        // reserved − committed − refunded reads −5.55e-17 here; the hold
+        // closes instead.
+        let account = fold_all(&[
+            reserved("alice", 0.6, 1),
+            resolved(true, 0.4, 1),
+            resolved(false, 0.6 - 0.4, 1),
+        ]);
+        assert_eq!(account.outstanding(), 0.0);
+        assert!(account.holds().is_empty());
+        assert_eq!(account.committed, 0.4);
+        assert_eq!(account.refunded, 0.6 - 0.4);
+        // Halfway, the committed part leaves the rest held.
+        let half = fold_all(&[reserved("alice", 0.6, 1), resolved(true, 0.4, 1)]);
+        assert_eq!(half.holds(), &[(1, 0.6 - 0.4)]);
+    }
+
+    #[test]
+    fn a_resolution_without_its_hold_never_cancels_another_traces_hold() {
+        // Trace 1's Reserved was compacted into a checkpoint.
+        let account = fold_all(&[reserved("alice", 0.3, 2), resolved(true, 0.4, 1)]);
+        assert_eq!(account.committed, 0.4);
+        assert_eq!(account.holds(), &[(2, 0.3)]);
+        assert_eq!(account.outstanding(), 0.3);
+        let account = fold_all(&[reserved("alice", 0.3, 2), resolved(false, 0.1, 1)]);
+        assert_eq!(account.refunded, 0.1);
+        assert_eq!(account.outstanding(), 0.3);
+    }
+
+    #[test]
+    fn holds_sharing_a_trace_close_exactly_once_all_resolve() {
+        // Two untraced reservations; the younger one resolves split first.
+        let account = fold_all(&[
+            reserved("alice", 0.5, 0),
+            reserved("alice", 0.3, 0),
+            resolved(true, 0.1, 0),
+            resolved(false, 0.3 - 0.1, 0),
+        ]);
+        assert!((account.outstanding() - 0.5).abs() < 1e-12);
+        let account = fold_all(&[
+            reserved("alice", 0.5, 0),
+            reserved("alice", 0.3, 0),
+            resolved(true, 0.1, 0),
+            resolved(false, 0.3 - 0.1, 0),
+            resolved(true, 0.5, 0),
+        ]);
+        assert_eq!(account.outstanding(), 0.0);
+        assert!(account.holds().is_empty());
     }
 
     #[test]

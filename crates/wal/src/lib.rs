@@ -67,7 +67,10 @@ pub enum FsyncPolicy {
     /// ledger event.
     EveryRecord,
     /// `fsync` once every `n` records: bounded loss window of at most
-    /// `n − 1` records on power failure. `n = 0` behaves like `1`.
+    /// `n − 1` records on power failure. `n = 0` behaves like `1`. The
+    /// lost records can include acknowledged `Committed` budget events,
+    /// whose reservations recovery then refunds: ε comes back for a
+    /// release that was already published.
     EveryNRecords(u64),
     /// `fsync` only at commit points (records appended with
     /// `commit_point = true`): every acknowledged spend is durable with
