@@ -85,16 +85,18 @@ impl OcdpGuarantee {
     /// `((2n+2)ε₁) = ε` OCDP (Theorems 5.5, 5.7).
     ///
     /// # Errors
-    /// Returns [`DpError::InvalidEpsilon`] for non-positive `ε` or `n == 0`.
+    /// Returns [`DpError::InvalidEpsilon`] for non-positive `ε`, `n == 0`,
+    /// or an `n` whose `n + 1` draws overflow `usize`.
     pub fn graph_search(total_epsilon: f64, samples: usize) -> Result<Self> {
         validate_epsilon(total_epsilon)?;
-        if samples == 0 {
-            return Err(DpError::InvalidEpsilon(total_epsilon));
-        }
+        let invocations = match samples.checked_add(1) {
+            Some(invocations) if samples > 0 => invocations,
+            _ => return Err(DpError::InvalidEpsilon(total_epsilon)),
+        };
         Ok(OcdpGuarantee {
             epsilon: total_epsilon,
             epsilon_per_invocation: total_epsilon / (2.0 * samples as f64 + 2.0),
-            invocations: samples + 1,
+            invocations,
             notion: PrivacyNotion::OutputConstrained,
             mechanism: MechanismKind::Exponential,
         })
@@ -251,6 +253,7 @@ mod tests {
         assert!(OcdpGuarantee::single_draw(0.0).is_err());
         assert!(OcdpGuarantee::single_draw(-1.0).is_err());
         assert!(OcdpGuarantee::graph_search(0.2, 0).is_err());
+        assert!(OcdpGuarantee::graph_search(0.2, usize::MAX).is_err(), "n + 1 must not wrap");
         assert!(OcdpGuarantee::graph_search(f64::NAN, 10).is_err());
     }
 

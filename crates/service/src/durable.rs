@@ -65,7 +65,7 @@
 //! privacy was already released; refusing would change nothing); their
 //! events wait in the backlog and land once the disk heals. Failures are
 //! counted in [`DurableLedger::journal_errors`] / the
-//! `pcor_wal_journal_errors` gauge, and the breaker's position is
+//! `pcor_wal_journal_errors` counter, and the breaker's position is
 //! reported by [`DurableLedger::journal_health`].
 //!
 //! # Group commit
@@ -82,12 +82,11 @@ use crate::ledger::{BudgetLedger, LedgerEntry};
 use crate::registry::{DatasetRegistry, WarmState};
 use crate::{Result, ServiceError};
 use pcor_faults::Faults;
-use pcor_telemetry::{AuditLog, BudgetEvent, Telemetry};
+use pcor_telemetry::{AuditLog, BudgetEvent, Counter, MetricsRegistry, Telemetry};
 use pcor_wal::{CommitTicket, FsyncPolicy, GroupWal, Wal, WalOptions, WalStats};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -224,16 +223,6 @@ struct JournalControl {
     jitter: u64,
 }
 
-#[derive(Default)]
-struct JournalCounters {
-    /// Appends refused or exhausted (the `pcor_wal_journal_errors` gauge).
-    errors: AtomicU64,
-    /// Appends that recovered within their retry budget.
-    retries_recovered: AtomicU64,
-    /// Breaker trips.
-    trips: AtomicU64,
-}
-
 /// The retry/breaker knobs the journal copied out of its [`WalConfig`].
 #[derive(Clone)]
 struct JournalPolicy {
@@ -257,12 +246,24 @@ struct JournalPolicy {
 pub(crate) struct Journal {
     wal: Arc<GroupWal>,
     control: Arc<Mutex<JournalControl>>,
-    counters: Arc<JournalCounters>,
+    /// Appends refused or exhausted, also `retries_total{outcome="exhausted"}`.
+    errors: Arc<Counter>,
+    retries_exhausted: Arc<Counter>,
+    retries_recovered: Arc<Counter>,
+    trips: Arc<Counter>,
     policy: JournalPolicy,
 }
 
 impl Journal {
-    fn new(wal: Wal, config: &WalConfig) -> Self {
+    fn new(wal: Wal, config: &WalConfig, registry: &MetricsRegistry) -> Self {
+        for (name, help) in [
+            ("pcor_wal_journal_errors", "Journal appends that exhausted their retries."),
+            ("pcor_retries_total", "Journal append retries by outcome."),
+            ("pcor_breaker_trips", "Times the journal breaker opened."),
+        ] {
+            registry.set_help(name, help);
+        }
+        let retries = |outcome| registry.counter("pcor_retries_total", &[("outcome", outcome)]);
         Journal {
             wal: Arc::new(GroupWal::new(wal)),
             control: Arc::new(Mutex::new(JournalControl {
@@ -271,7 +272,10 @@ impl Journal {
                 backlog: VecDeque::new(),
                 jitter: 0x9e3779b97f4a7c15,
             })),
-            counters: Arc::new(JournalCounters::default()),
+            errors: registry.counter("pcor_wal_journal_errors", &[]),
+            retries_exhausted: retries("exhausted"),
+            retries_recovered: retries("recovered"),
+            trips: registry.counter("pcor_breaker_trips", &[]),
             policy: JournalPolicy {
                 group_commit: config.group_commit,
                 retry_attempts: config.retry_attempts.max(1),
@@ -310,7 +314,7 @@ impl Journal {
         match control.breaker {
             Breaker::Open { until } if Instant::now() < until => {
                 control.backlog.push_back((payload, commit_point));
-                self.counters.errors.fetch_add(1, Ordering::SeqCst);
+                self.count_error();
                 return Err(ServiceError::Durability(
                     "journal breaker is open; record backlogged".to_string(),
                 ));
@@ -368,15 +372,21 @@ impl Journal {
     /// One failed append or fsync: count it, and trip the breaker once the
     /// consecutive run reaches the configured threshold.
     fn note_failure(&self, control: &mut JournalControl) {
-        self.counters.errors.fetch_add(1, Ordering::SeqCst);
+        self.count_error();
         control.consecutive_failures = control.consecutive_failures.saturating_add(1);
         if control.consecutive_failures >= self.policy.breaker_trip_after {
             if !matches!(control.breaker, Breaker::Open { .. }) {
-                self.counters.trips.fetch_add(1, Ordering::SeqCst);
+                self.trips.inc();
             }
             control.breaker =
                 Breaker::Open { until: Instant::now() + self.policy.breaker_cooldown };
         }
+    }
+
+    /// One append that did not land: an error and an exhausted retry.
+    fn count_error(&self) {
+        self.errors.inc();
+        self.retries_exhausted.inc();
     }
 
     /// Drains the backlog in order. Stops (preserving the remainder) at
@@ -412,7 +422,7 @@ impl Journal {
             match self.wal.append(payload, commit_point) {
                 Ok(ticket) => {
                     if attempt > 0 {
-                        self.counters.retries_recovered.fetch_add(1, Ordering::SeqCst);
+                        self.retries_recovered.inc();
                     }
                     return Ok(ticket);
                 }
@@ -460,10 +470,6 @@ impl Journal {
         self.wal.stats()
     }
 
-    pub(crate) fn errors(&self) -> u64 {
-        self.counters.errors.load(Ordering::SeqCst)
-    }
-
     pub(crate) fn health(&self) -> JournalHealth {
         let control = self.control.lock().expect("journal control poisoned");
         let breaker = match control.breaker {
@@ -480,9 +486,9 @@ impl Journal {
         JournalHealth {
             breaker,
             backlog: control.backlog.len(),
-            errors: self.counters.errors.load(Ordering::SeqCst),
-            retries_recovered: self.counters.retries_recovered.load(Ordering::SeqCst),
-            trips: self.counters.trips.load(Ordering::SeqCst),
+            errors: self.errors.get(),
+            retries_recovered: self.retries_recovered.get(),
+            trips: self.trips.get(),
             accepting_reserves: !matches!(breaker, BreakerState::Open),
         }
     }
@@ -554,8 +560,9 @@ pub struct DurableLedger {
     /// Warm cache state recovered from the checkpoint, consumed by
     /// [`seed_registry`](DurableLedger::seed_registry).
     warm: Mutex<Option<WarmState>>,
-    warm_contexts_seeded: AtomicUsize,
-    warm_references_seeded: AtomicUsize,
+    /// `pcor_wal_warm_seeded{cache}`, per cache.
+    warm_contexts_seeded: Arc<Counter>,
+    warm_references_seeded: Arc<Counter>,
     /// Serializes checkpoint writers; the auto path try-locks so request
     /// workers never queue behind a checkpoint already in progress.
     checkpoint_guard: Mutex<()>,
@@ -609,7 +616,8 @@ impl DurableLedger {
 
         // Attach the journal before recovery, so the dangling refunds are
         // persisted like any live refund.
-        let journal = Journal::new(wal, &config);
+        let registry = telemetry.registry();
+        let journal = Journal::new(wal, &config, registry);
         ledger.attach_journal(journal.clone());
 
         // Restore the checkpoint accounts wholesale, then fold the tail on
@@ -640,6 +648,24 @@ impl DurableLedger {
             truncated_bytes: replay.truncated_bytes,
             replay_duration: started.elapsed(),
         };
+        let gauge = |name, help, value| {
+            registry.set_help(name, help);
+            registry.gauge(name, &[]).set(value);
+        };
+        let replayed = report.events_replayed as f64;
+        gauge("pcor_wal_replay_events", "Events replayed by the last startup recovery.", replayed);
+        let seconds = report.replay_duration.as_secs_f64();
+        gauge("pcor_wal_replay_seconds", "Wall time of the last startup recovery.", seconds);
+        let dangling = report.dangling_refunded as f64;
+        let help = "Crash-dangling reservations refunded at recovery.";
+        gauge("pcor_wal_dangling_refunded", help, dangling);
+        let epsilon = report.refunded_epsilon;
+        gauge("pcor_wal_refunded_epsilon", "Epsilon those dangling refunds released.", epsilon);
+        registry
+            .set_help("pcor_wal_warm_seeded", "Warm cache entries re-seeded from the checkpoint.");
+        let warm_seeded = |cache| registry.counter("pcor_wal_warm_seeded", &[("cache", cache)]);
+        let warm_contexts_seeded = warm_seeded("starting_context");
+        let warm_references_seeded = warm_seeded("reference_file");
         let warm = checkpoint.map(|cp| cp.warm).filter(|warm| !warm.is_empty());
         Ok(DurableLedger {
             ledger,
@@ -648,8 +674,8 @@ impl DurableLedger {
             config,
             report,
             warm: Mutex::new(warm),
-            warm_contexts_seeded: AtomicUsize::new(0),
-            warm_references_seeded: AtomicUsize::new(0),
+            warm_contexts_seeded,
+            warm_references_seeded,
             checkpoint_guard: Mutex::new(()),
         })
     }
@@ -682,7 +708,7 @@ impl DurableLedger {
 
     /// Journal append failures since open (0 in a healthy deployment).
     pub fn journal_errors(&self) -> u64 {
-        self.journal.errors()
+        self.journal.errors.get()
     }
 
     /// The journal's breaker position, backlog depth and failure counters.
@@ -699,10 +725,7 @@ impl DurableLedger {
     /// Warm cache entries seeded into a registry so far, as
     /// `(starting contexts, reference files)`.
     pub fn warm_seeded(&self) -> (usize, usize) {
-        (
-            self.warm_contexts_seeded.load(Ordering::SeqCst),
-            self.warm_references_seeded.load(Ordering::SeqCst),
-        )
+        (self.warm_contexts_seeded.get() as usize, self.warm_references_seeded.get() as usize)
     }
 
     /// Seeds `registry`'s caches from the checkpoint's warm state,
@@ -715,8 +738,8 @@ impl DurableLedger {
             return (0, 0);
         };
         let (contexts, references) = registry.seed_warm_state(warm);
-        self.warm_contexts_seeded.fetch_add(contexts, Ordering::SeqCst);
-        self.warm_references_seeded.fetch_add(references, Ordering::SeqCst);
+        self.warm_contexts_seeded.add(contexts as u64);
+        self.warm_references_seeded.add(references as u64);
         (contexts, references)
     }
 
@@ -802,6 +825,7 @@ fn decode<T: Deserialize>(bytes: &[u8], what: &str) -> Result<T> {
 mod tests {
     use super::*;
     use std::path::Path;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn test_dir(tag: &str) -> PathBuf {
         static NEXT: AtomicU64 = AtomicU64::new(0);

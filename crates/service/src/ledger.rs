@@ -286,6 +286,15 @@ impl BudgetLedger {
     /// the per-account spent/remaining gauges (see the module docs for the
     /// ordering guarantee).
     pub fn attach_telemetry(&self, telemetry: Telemetry) {
+        let registry = telemetry.registry();
+        registry.set_help(
+            "pcor_budget_spent_epsilon",
+            "Epsilon permanently committed per analyst/dataset.",
+        );
+        registry.set_help(
+            "pcor_budget_remaining_epsilon",
+            "Epsilon still available per analyst/dataset.",
+        );
         let mut inner = self.inner.lock().expect("ledger poisoned");
         inner.telemetry = Some(telemetry);
     }

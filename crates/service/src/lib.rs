@@ -108,7 +108,7 @@ pub mod wire;
 pub use cache::LruCache;
 pub use durable::{BreakerState, DurableLedger, JournalHealth, RecoveryReport, WalConfig};
 pub use ledger::{BudgetLedger, LedgerEntry, Reservation};
-pub use metrics::{ServerMetrics, ServerMetricsSnapshot};
+pub use metrics::ServerMetricsSnapshot;
 pub use registry::{
     CacheStats, DatasetEntry, DatasetRegistry, DatasetStats, WarmContext, WarmDataset,
     WarmReference, WarmState,
@@ -116,7 +116,7 @@ pub use registry::{
 pub use request::{
     BatchItem, BatchItemResponse, BatchReleaseRequest, BatchReleaseResponse, ItemOutcome,
     ItemRelease, ReleaseRequest, ReleaseResponse, RequestBody, RequestEnvelope, ResponseBody,
-    ResponseEnvelope, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    ResponseEnvelope, MAX_BATCH_ITEMS, MAX_SAMPLES, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 pub use server::{HealthReport, PendingResponse, Server, ServerConfig};
 pub use wire::{

@@ -1,130 +1,192 @@
-//! Lock-free server counters.
+//! The server's counters, kept in the telemetry registry: the serving path
+//! increments pre-resolved handles where each event happens, and
+//! [`ServerMetricsSnapshot`] is read back from the same handles a
+//! Prometheus scrape renders, so the two always agree.
 
 use pcor_dp::{MechanismKind, MechanismTally};
 use pcor_runtime::PoolStats;
+use pcor_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// Counters maintained by the worker pool.
-#[derive(Debug, Default)]
-pub struct ServerMetrics {
-    served: AtomicU64,
-    refused: AtomicU64,
-    failed: AtomicU64,
-    total_latency_nanos: AtomicU64,
-    /// Fresh `f_M` verification calls performed by the release engine.
-    verification_calls: AtomicU64,
-    /// Total verifier evaluation requests (memo-cache hits included).
-    verifier_lookups: AtomicU64,
-    /// Verifier evaluation requests answered from the memo cache.
-    verifier_cache_hits: AtomicU64,
-    /// Bitmap words scanned by fused population passes inside verifiers.
-    verifier_words_scanned: AtomicU64,
-    /// Served releases drawn through the Exponential mechanism.
-    exponential_releases: AtomicU64,
-    /// Served releases drawn through permute-and-flip.
-    permute_and_flip_releases: AtomicU64,
-    /// Served releases drawn through report-noisy-max.
-    report_noisy_max_releases: AtomicU64,
-    /// Requests answered `DeadlineExceeded` — refused past-deadline at
-    /// task start or cooperatively cancelled mid-release.
-    deadline_exceeded: AtomicU64,
-    /// Requests shed at admission (`Overloaded`) because the estimated
-    /// queue wait already exceeded their deadline.
-    shed: AtomicU64,
+/// The stable name of each mechanism, used as the `mechanism` label value
+/// and in the budget audit log.
+pub(crate) fn mechanism_name(mechanism: MechanismKind) -> &'static str {
+    match mechanism {
+        MechanismKind::Exponential => "exponential",
+        MechanismKind::PermuteAndFlip => "permute_and_flip",
+        MechanismKind::ReportNoisyMax => "report_noisy_max",
+    }
+}
+
+/// Pre-resolved registry handles for the serving path's counters
+/// (registration is locked; incrementing is not).
+#[derive(Debug)]
+pub(crate) struct ServerMetrics {
+    served: Arc<Counter>,
+    refused: Arc<Counter>,
+    failed: Arc<Counter>,
+    /// Latency of requests that released; `sum() / served` is the mean.
+    latency: Arc<Histogram>,
+    mean_latency_seconds: Arc<Gauge>,
+    verification_calls: Arc<Counter>,
+    verifier_lookups: Arc<Counter>,
+    verifier_cache_hits: Arc<Counter>,
+    verifier_words_scanned: Arc<Counter>,
+    verifier_bytes_scanned: Arc<Counter>,
+    /// The same bytes, labelled by the process's dispatched kernel.
+    kernel_bytes_scanned: Arc<Counter>,
+    /// Served releases per mechanism, indexed by [`MechanismKind`].
+    mechanisms: [Arc<Counter>; 3],
+    deadline_exceeded: Arc<Counter>,
+    shed: Arc<Counter>,
 }
 
 impl ServerMetrics {
+    /// Claims the serving path's series in `registry`; a second claim on the
+    /// same registry returns the same series, so the counts continue.
+    pub(crate) fn register(registry: &MetricsRegistry) -> Self {
+        let counter = |name, help| {
+            registry.set_help(name, help);
+            registry.counter(name, &[])
+        };
+        for (name, help) in [
+            ("pcor_release_latency_nanos", "End-to-end latency of requests that released."),
+            ("pcor_release_mean_latency_seconds", "Mean end-to-end release latency."),
+            ("pcor_kernel_selected", "Dispatched fused-pass kernel (info gauge; value is 1)."),
+            (
+                "pcor_kernel_bytes_scanned",
+                "Bitmap bytes scanned, labeled by the dispatched kernel.",
+            ),
+            ("pcor_mechanism_releases", "Releases per DP selection mechanism."),
+        ] {
+            registry.set_help(name, help);
+        }
+        // The kernel is chosen once per process, so its info gauge is set
+        // here and never again.
+        let kernel = pcor_data::kernel::selected().name();
+        registry.gauge("pcor_kernel_selected", &[("kernel", kernel)]).set(1.0);
+        let mechanism = |kind| {
+            registry.counter("pcor_mechanism_releases", &[("mechanism", mechanism_name(kind))])
+        };
+        ServerMetrics {
+            served: counter("pcor_releases_served", "Releases answered successfully."),
+            refused: counter("pcor_releases_refused", "Releases refused for insufficient budget."),
+            failed: counter("pcor_releases_failed", "Releases failed for non-budget reasons."),
+            latency: registry.histogram("pcor_release_latency_nanos", &[]),
+            mean_latency_seconds: registry.gauge("pcor_release_mean_latency_seconds", &[]),
+            verification_calls: counter("pcor_verifier_calls", "Fresh f_M verification calls."),
+            verifier_lookups: counter("pcor_verifier_lookups", "Verifier lookups, memo hits too."),
+            verifier_cache_hits: counter("pcor_verifier_cache_hits", "Verifier memo hits."),
+            verifier_words_scanned: counter(
+                "pcor_verifier_words_scanned",
+                "Bitmap words the fused verification passes touched.",
+            ),
+            verifier_bytes_scanned: counter(
+                "pcor_verifier_bytes_scanned",
+                "Bitmap bytes the fused verification passes touched.",
+            ),
+            kernel_bytes_scanned: registry
+                .counter("pcor_kernel_bytes_scanned", &[("kernel", kernel)]),
+            mechanisms: [
+                mechanism(MechanismKind::Exponential),
+                mechanism(MechanismKind::PermuteAndFlip),
+                mechanism(MechanismKind::ReportNoisyMax),
+            ],
+            deadline_exceeded: counter(
+                "pcor_deadline_exceeded_total",
+                "Requests answered DeadlineExceeded.",
+            ),
+            shed: counter("pcor_shed_total", "Requests shed at admission (Overloaded)."),
+        }
+    }
+
     /// Records a budget refusal.
-    pub fn record_refused(&self) {
-        self.refused.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_refused(&self) {
+        self.refused.inc();
     }
 
     /// Records a request that ended as `DeadlineExceeded` — whether it was
     /// refused at task start (queued past its deadline) or cooperatively
     /// cancelled between verification calls mid-release.
-    pub fn record_deadline_exceeded(&self) {
-        self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_deadline_exceeded(&self) {
+        self.deadline_exceeded.inc();
     }
 
     /// Records a request shed at admission with `Overloaded`: the
     /// estimated queue wait already exceeded its deadline, so refusing
     /// immediately is strictly better than queueing work destined to time
     /// out.
-    pub fn record_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_shed(&self) {
+        self.shed.inc();
     }
 
     /// Records the verification engine's work for one served request
-    /// (single or batch): fresh `f_M` calls, total evaluation lookups and
-    /// memo-cache hits, straight from the session's
-    /// [`SessionStats`](pcor_core::SessionStats). Makes the incremental
-    /// engine's effect — evaluations per release, cache hit rate and the
-    /// bitmap words its fused passes actually scanned — observable from
-    /// the server side.
-    pub fn record_engine(
+    /// (single or batch): fresh `f_M` calls, total evaluation lookups,
+    /// memo-cache hits and the bitmap words the fused passes scanned,
+    /// straight from the session's [`SessionStats`](pcor_core::SessionStats).
+    pub(crate) fn record_engine(
         &self,
         verification_calls: u64,
         lookups: u64,
         cache_hits: u64,
         words_scanned: u64,
     ) {
-        self.verification_calls.fetch_add(verification_calls, Ordering::Relaxed);
-        self.verifier_lookups.fetch_add(lookups, Ordering::Relaxed);
-        self.verifier_cache_hits.fetch_add(cache_hits, Ordering::Relaxed);
-        self.verifier_words_scanned.fetch_add(words_scanned, Ordering::Relaxed);
+        self.verification_calls.add(verification_calls);
+        self.verifier_lookups.add(lookups);
+        self.verifier_cache_hits.add(cache_hits);
+        self.verifier_words_scanned.add(words_scanned);
+        self.verifier_bytes_scanned.add(words_scanned * 8);
+        self.kernel_bytes_scanned.add(words_scanned * 8);
     }
 
     /// Records which DP selection mechanism produced one served release
     /// (single or batch item), so operators can see the mechanism mix.
-    pub fn record_mechanism(&self, mechanism: MechanismKind) {
-        let counter = match mechanism {
-            MechanismKind::Exponential => &self.exponential_releases,
-            MechanismKind::PermuteAndFlip => &self.permute_and_flip_releases,
-            MechanismKind::ReportNoisyMax => &self.report_noisy_max_releases,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_mechanism(&self, mechanism: MechanismKind) {
+        self.mechanisms[mechanism as usize].inc();
     }
 
     /// Records a served request with per-item resolution (a single is a
     /// one-item batch): `released` items count as served releases and
     /// `failed` items as failed releases (non-budget errors). The
-    /// request's end-to-end latency is added once (when anything
+    /// request's end-to-end latency is recorded once (when anything
     /// released), making `mean_latency` the *amortized* latency per served
     /// release.
-    pub fn record_batch(&self, released: u64, failed: u64, latency: Duration) {
-        self.served.fetch_add(released, Ordering::Relaxed);
-        self.failed.fetch_add(failed, Ordering::Relaxed);
+    pub(crate) fn record_batch(&self, released: u64, failed: u64, latency: Duration) {
+        self.served.add(released);
+        self.failed.add(failed);
         if released > 0 {
-            self.total_latency_nanos
-                .fetch_add(latency.as_nanos().min(u64::MAX as u128) as u64, Ordering::Relaxed);
+            self.latency.record_duration(latency);
+            self.mean_latency_seconds.set(self.mean_latency().as_secs_f64());
         }
     }
 
+    /// Recorded latency per served release (zero before any release).
+    pub(crate) fn mean_latency(&self) -> Duration {
+        self.latency
+            .sum()
+            .checked_div(self.served.get())
+            .map(Duration::from_nanos)
+            .unwrap_or(Duration::ZERO)
+    }
+
     /// A consistent-enough snapshot of the counters.
-    pub fn snapshot(&self) -> ServerMetricsSnapshot {
-        let served = self.served.load(Ordering::Relaxed);
-        let nanos = self.total_latency_nanos.load(Ordering::Relaxed);
+    pub(crate) fn snapshot(&self) -> ServerMetricsSnapshot {
+        let [exponential, permute_and_flip, report_noisy_max] =
+            self.mechanisms.each_ref().map(|counter| counter.get());
         ServerMetricsSnapshot {
-            served,
-            refused: self.refused.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            mean_latency: nanos
-                .checked_div(served)
-                .map(Duration::from_nanos)
-                .unwrap_or(Duration::ZERO),
-            verification_calls: self.verification_calls.load(Ordering::Relaxed),
-            verifier_lookups: self.verifier_lookups.load(Ordering::Relaxed),
-            verifier_cache_hits: self.verifier_cache_hits.load(Ordering::Relaxed),
-            verifier_words_scanned: self.verifier_words_scanned.load(Ordering::Relaxed),
-            mechanism_releases: MechanismTally {
-                exponential: self.exponential_releases.load(Ordering::Relaxed),
-                permute_and_flip: self.permute_and_flip_releases.load(Ordering::Relaxed),
-                report_noisy_max: self.report_noisy_max_releases.load(Ordering::Relaxed),
-            },
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
+            served: self.served.get(),
+            refused: self.refused.get(),
+            failed: self.failed.get(),
+            mean_latency: self.mean_latency(),
+            verification_calls: self.verification_calls.get(),
+            verifier_lookups: self.verifier_lookups.get(),
+            verifier_cache_hits: self.verifier_cache_hits.get(),
+            verifier_words_scanned: self.verifier_words_scanned.get(),
+            mechanism_releases: MechanismTally { exponential, permute_and_flip, report_noisy_max },
+            deadline_exceeded: self.deadline_exceeded.get(),
+            shed: self.shed.get(),
             pool_workers: 0,
             pool_queue_depth: 0,
             pool_tasks_executed: 0,
@@ -212,7 +274,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate_and_average() {
-        let metrics = ServerMetrics::default();
+        let metrics = ServerMetrics::register(&MetricsRegistry::new());
         assert_eq!(metrics.snapshot().mean_latency, Duration::ZERO);
         metrics.record_batch(1, 0, Duration::from_millis(10));
         metrics.record_batch(1, 0, Duration::from_millis(30));
@@ -227,7 +289,7 @@ mod tests {
 
     #[test]
     fn pool_health_merges_into_the_snapshot() {
-        let metrics = ServerMetrics::default();
+        let metrics = ServerMetrics::register(&MetricsRegistry::new());
         metrics.record_batch(1, 0, Duration::from_millis(1));
         let pool = PoolStats {
             workers: 4,
@@ -248,7 +310,7 @@ mod tests {
 
     #[test]
     fn lifecycle_counters_track_deadlines_and_sheds() {
-        let metrics = ServerMetrics::default();
+        let metrics = ServerMetrics::register(&MetricsRegistry::new());
         let empty = metrics.snapshot();
         assert_eq!((empty.deadline_exceeded, empty.shed), (0, 0));
         metrics.record_deadline_exceeded();
@@ -264,7 +326,7 @@ mod tests {
 
     #[test]
     fn mechanism_counters_report_the_release_mix() {
-        let metrics = ServerMetrics::default();
+        let metrics = ServerMetrics::register(&MetricsRegistry::new());
         assert_eq!(metrics.snapshot().mechanism_releases, MechanismTally::default());
         metrics.record_mechanism(MechanismKind::Exponential);
         metrics.record_mechanism(MechanismKind::Exponential);
@@ -279,7 +341,7 @@ mod tests {
 
     #[test]
     fn engine_counters_expose_cache_hit_rate_and_calls_per_release() {
-        let metrics = ServerMetrics::default();
+        let metrics = ServerMetrics::register(&MetricsRegistry::new());
         let empty = metrics.snapshot();
         assert_eq!(empty.verifier_cache_hit_rate(), 0.0);
         assert_eq!(empty.evaluations_per_release(), 0.0);

@@ -155,7 +155,7 @@ impl ReleaseRequest {
     ///
     /// # Errors
     /// Returns [`ServiceError::InvalidRequest`] for empty principals,
-    /// non-positive ε or zero samples.
+    /// non-positive ε, or samples outside `1..=`[`MAX_SAMPLES`].
     pub fn validate(&self) -> Result<()> {
         if self.analyst.is_empty() {
             return Err(ServiceError::InvalidRequest("analyst must not be empty".into()));
@@ -169,8 +169,11 @@ impl ReleaseRequest {
                 self.epsilon
             )));
         }
-        if self.samples == 0 {
-            return Err(ServiceError::InvalidRequest("samples must be >= 1".into()));
+        if self.samples == 0 || self.samples > MAX_SAMPLES {
+            return Err(ServiceError::InvalidRequest(format!(
+                "samples must be in 1..={MAX_SAMPLES}, got {}",
+                self.samples
+            )));
         }
         Ok(())
     }
@@ -229,6 +232,15 @@ pub const PROTOCOL_VERSION: u16 = 2;
 /// The oldest protocol version the server still accepts. v1 envelopes are
 /// served with the default mechanism, exactly as a v1 server would.
 pub const MIN_PROTOCOL_VERSION: u16 = 1;
+
+/// The most samples `n` one release may ask for: 5× the paper's largest
+/// `n` (200). A release's work grows with `n`, and a random walk keeps
+/// drawing memoized verdicts that never reach the cancel check, so an
+/// unbounded `n` would pin a worker.
+pub const MAX_SAMPLES: usize = 1_000;
+
+/// The most items one batch may carry.
+pub const MAX_BATCH_ITEMS: usize = 1_024;
 
 /// The versioned request envelope: every message to the server is one of
 /// these.
@@ -482,7 +494,9 @@ impl BatchReleaseRequest {
     ///
     /// # Errors
     /// Returns [`ServiceError::InvalidRequest`] for empty principals, an
-    /// empty item list, non-positive per-item ε or zero samples.
+    /// item count outside `1..=`[`MAX_BATCH_ITEMS`], non-positive per-item
+    /// ε, per-item samples outside `1..=`[`MAX_SAMPLES`], or a summed ε
+    /// that is not finite.
     pub fn validate(&self) -> Result<()> {
         if self.analyst.is_empty() {
             return Err(ServiceError::InvalidRequest("analyst must not be empty".into()));
@@ -490,10 +504,11 @@ impl BatchReleaseRequest {
         if self.dataset.is_empty() {
             return Err(ServiceError::InvalidRequest("dataset must not be empty".into()));
         }
-        if self.items.is_empty() {
-            return Err(ServiceError::InvalidRequest(
-                "batch must contain at least one item".into(),
-            ));
+        if self.items.is_empty() || self.items.len() > MAX_BATCH_ITEMS {
+            return Err(ServiceError::InvalidRequest(format!(
+                "batch must contain 1..={MAX_BATCH_ITEMS} items, got {}",
+                self.items.len()
+            )));
         }
         for (index, item) in self.items.iter().enumerate() {
             if !item.epsilon.is_finite() || item.epsilon <= 0.0 {
@@ -502,11 +517,17 @@ impl BatchReleaseRequest {
                     item.epsilon
                 )));
             }
-            if item.samples == 0 {
+            if item.samples == 0 || item.samples > MAX_SAMPLES {
                 return Err(ServiceError::InvalidRequest(format!(
-                    "item {index}: samples must be >= 1"
+                    "item {index}: samples must be in 1..={MAX_SAMPLES}, got {}",
+                    item.samples
                 )));
             }
+        }
+        // Finite items can still sum past f64::MAX; the ledger must never
+        // be asked to reserve an infinite ε.
+        if !self.total_epsilon().is_finite() {
+            return Err(ServiceError::InvalidRequest("summed epsilon is not finite".into()));
         }
         Ok(())
     }
@@ -729,6 +750,40 @@ mod tests {
         assert!(ReleaseRequest::new("a", "d", 0).with_epsilon(0.0).validate().is_err());
         assert!(ReleaseRequest::new("a", "d", 0).with_epsilon(f64::NAN).validate().is_err());
         assert!(ReleaseRequest::new("a", "d", 0).with_samples(0).validate().is_err());
+    }
+
+    #[test]
+    fn validation_caps_samples_at_max_samples() {
+        let request = ReleaseRequest::new("a", "d", 0);
+        assert!(request.clone().with_samples(MAX_SAMPLES).validate().is_ok());
+        assert!(request.clone().with_samples(MAX_SAMPLES + 1).validate().is_err());
+        assert!(request.with_samples(usize::MAX).validate().is_err());
+        let batch = |samples| {
+            BatchReleaseRequest::new("a", "d").push(BatchItem::new(0).with_samples(samples))
+        };
+        assert!(batch(MAX_SAMPLES).validate().is_ok());
+        match batch(usize::MAX).validate() {
+            Err(ServiceError::InvalidRequest(msg)) => assert!(msg.contains("item 0"), "{msg}"),
+            other => panic!("expected a samples refusal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn validation_caps_batches_at_max_batch_items() {
+        let batch =
+            |items| BatchReleaseRequest::new("a", "d").with_items(vec![BatchItem::new(0); items]);
+        assert!(batch(MAX_BATCH_ITEMS).validate().is_ok());
+        assert!(batch(MAX_BATCH_ITEMS + 1).validate().is_err());
+    }
+
+    #[test]
+    fn validation_refuses_a_batch_whose_summed_epsilon_overflows() {
+        let item = BatchItem::new(0).with_epsilon(f64::MAX);
+        let one = BatchReleaseRequest::new("a", "d").push(item.clone());
+        assert!(one.validate().is_ok(), "each item's ε is finite on its own");
+        let two = one.push(item);
+        assert!(two.total_epsilon().is_infinite());
+        assert!(two.validate().is_err());
     }
 
     #[test]

@@ -61,13 +61,14 @@
 //! taking an in-flight slot; literal capacity exhaustion keeps its own
 //! reactive refusal, [`ServiceError::QueueFull`]. [`Server::health`]
 //! rolls the lifecycle into a readiness report (journal breaker state
-//! included on durable servers), mirrored into the Prometheus scrape as
-//! `pcor_ready`, `pcor_breaker_state`, `pcor_deadline_exceeded_total`,
-//! `pcor_shed_total` and `pcor_retries_total`.
+//! included on durable servers). The Prometheus scrape carries the same
+//! signals: `pcor_ready` and `pcor_breaker_state` as gauges, and
+//! `pcor_deadline_exceeded_total`, `pcor_shed_total` and
+//! `pcor_retries_total` as counters incremented where each event happens.
 
 use crate::durable::{DurableLedger, JournalHealth};
 use crate::ledger::BudgetLedger;
-use crate::metrics::{ServerMetrics, ServerMetricsSnapshot};
+use crate::metrics::{mechanism_name, ServerMetrics, ServerMetricsSnapshot};
 use crate::registry::{CacheStats, DatasetRegistry};
 use crate::request::{
     BatchItemResponse, BatchReleaseRequest, BatchReleaseResponse, ItemOutcome, ItemRelease,
@@ -76,7 +77,7 @@ use crate::request::{
 use crate::{Result, ServiceError};
 use pcor_core::cancel::CancelToken;
 use pcor_core::ReleaseSession;
-use pcor_dp::{MechanismKind, PopulationSizeUtility};
+use pcor_dp::PopulationSizeUtility;
 use pcor_faults::{site, Faults};
 use pcor_runtime::{PoolStats, ThreadPool};
 use pcor_telemetry::{MetricsRegistry, SpanId, Telemetry, TraceId};
@@ -439,10 +440,14 @@ impl Server {
         let ledger = Arc::new(durable.ledger().clone());
         let mut server = Self::start(config, registry, ledger);
         {
-            let durable = Arc::clone(&durable);
+            // Weak: the durable ledger owns this bundle, so a strong handle
+            // would keep it (and its WAL and registry) alive forever.
+            let durable = Arc::downgrade(&durable);
             let accepting = Arc::clone(&server.accepting);
             server.telemetry.register_collector(move |exporter| {
-                Self::publish_wal_stats(exporter, &durable, &accepting);
+                if let Some(durable) = durable.upgrade() {
+                    Self::publish_wal_stats(exporter, &durable, &accepting);
+                }
             });
         }
         server.durable = Some(durable);
@@ -458,7 +463,6 @@ impl Server {
         registry: Arc<DatasetRegistry>,
         ledger: Arc<BudgetLedger>,
     ) -> Self {
-        let metrics = Arc::new(ServerMetrics::default());
         // Reuse a telemetry bundle the ledger already carries — the durable
         // startup path builds one around the *replayed* audit log, and a
         // fresh bundle here would silently discard that history and its
@@ -467,21 +471,15 @@ impl Server {
         // From here on, every ε movement through the ledger lands in the
         // bundle's audit log and refreshes the per-account gauges.
         ledger.attach_telemetry(telemetry.clone());
-        // The server/pool/cache stat structs stay the programmatic API;
-        // a collector refreshes their gauge mirrors at each scrape, so one
-        // `render_prometheus()` shows the whole stack without a hot-path
-        // cost on the counters themselves.
+        // The serving path counts straight into the bundle's registry; only
+        // the pool's and the dataset caches' own counters are copied in, by
+        // a collector at each scrape.
+        let metrics = Arc::new(ServerMetrics::register(telemetry.registry()));
         {
-            let metrics = Arc::clone(&metrics);
             let pool = Arc::clone(&pool);
             let datasets = Arc::clone(&registry);
             telemetry.register_collector(move |exporter| {
-                Self::publish_stats(
-                    exporter,
-                    &metrics.snapshot(),
-                    &pool.stats(),
-                    &datasets.cache_stats(),
-                );
+                Self::publish_stats(exporter, &pool.stats(), &datasets.cache_stats());
             });
         }
         let inflight = Inflight::new();
@@ -515,74 +513,12 @@ impl Server {
         }
     }
 
-    /// The stable Prometheus name of each mechanism, used as the
-    /// `mechanism` label value and in the budget audit log.
-    fn mechanism_name(mechanism: MechanismKind) -> &'static str {
-        match mechanism {
-            MechanismKind::Exponential => "exponential",
-            MechanismKind::PermuteAndFlip => "permute_and_flip",
-            MechanismKind::ReportNoisyMax => "report_noisy_max",
-        }
-    }
-
-    /// Mirrors the three snapshot structs into the metrics registry under
-    /// the stable `pcor_*` names the README documents. Runs at scrape time
-    /// (via the collector registered in [`Server::start_with_pool`]).
-    fn publish_stats(
-        exporter: &MetricsRegistry,
-        server: &ServerMetricsSnapshot,
-        pool: &PoolStats,
-        cache: &CacheStats,
-    ) {
-        for (name, help) in [
-            ("pcor_releases_served", "Releases answered successfully."),
-            ("pcor_releases_refused", "Releases refused for insufficient budget."),
-            ("pcor_release_mean_latency_seconds", "Mean end-to-end release latency."),
-            ("pcor_verifier_bytes_scanned", "Bitmap bytes the fused verification passes touched."),
-            ("pcor_kernel_selected", "Dispatched fused-pass kernel (info gauge; value is 1)."),
-            (
-                "pcor_kernel_bytes_scanned",
-                "Bitmap bytes scanned, labeled by the dispatched kernel.",
-            ),
-            ("pcor_mechanism_releases", "Releases per DP selection mechanism."),
-            ("pcor_deadline_exceeded_total", "Requests answered DeadlineExceeded."),
-            ("pcor_shed_total", "Requests shed at admission (Overloaded)."),
-            ("pcor_cache_evictions", "Entries evicted by the GreedyDual policy."),
-            ("pcor_budget_spent_epsilon", "Epsilon permanently committed per analyst/dataset."),
-            ("pcor_budget_remaining_epsilon", "Epsilon still available per analyst/dataset."),
-        ] {
-            exporter.set_help(name, help);
-        }
+    /// Copies the pool's and the dataset caches' own counters into gauges at
+    /// scrape time (the collector registered in [`Server::start_with_pool`]):
+    /// the serving path does not see them change.
+    fn publish_stats(exporter: &MetricsRegistry, pool: &PoolStats, cache: &CacheStats) {
+        exporter.set_help("pcor_cache_evictions", "Entries evicted by the GreedyDual policy.");
         let set = |name: &str, value: f64| exporter.gauge(name, &[]).set(value);
-        set("pcor_releases_served", server.served as f64);
-        set("pcor_releases_refused", server.refused as f64);
-        set("pcor_releases_failed", server.failed as f64);
-        set("pcor_release_mean_latency_seconds", server.mean_latency.as_secs_f64());
-        set("pcor_verifier_calls", server.verification_calls as f64);
-        set("pcor_verifier_lookups", server.verifier_lookups as f64);
-        set("pcor_verifier_cache_hits", server.verifier_cache_hits as f64);
-        set("pcor_verifier_words_scanned", server.verifier_words_scanned as f64);
-        set("pcor_verifier_bytes_scanned", (server.verifier_words_scanned * 8) as f64);
-        // Kernel identity: which fused-pass implementation the runtime
-        // dispatch chose for this process, and the bytes it scanned — the
-        // per-kernel bytes/sec numerator for dashboards.
-        let kernel = pcor_data::kernel::selected().name();
-        exporter.gauge("pcor_kernel_selected", &[("kernel", kernel)]).set(1.0);
-        exporter
-            .gauge("pcor_kernel_bytes_scanned", &[("kernel", kernel)])
-            .set((server.verifier_words_scanned * 8) as f64);
-        let tally = server.mechanism_releases;
-        for (mechanism, count) in [
-            ("exponential", tally.exponential),
-            ("permute_and_flip", tally.permute_and_flip),
-            ("report_noisy_max", tally.report_noisy_max),
-        ] {
-            exporter
-                .gauge("pcor_mechanism_releases", &[("mechanism", mechanism)])
-                .set(count as f64);
-        }
-        set("pcor_deadline_exceeded_total", server.deadline_exceeded as f64);
-        set("pcor_shed_total", server.shed as f64);
         set("pcor_pool_workers", pool.workers as f64);
         set("pcor_pool_queue_depth", pool.queue_depth as f64);
         set("pcor_pool_tasks_submitted", pool.tasks_submitted as f64);
@@ -602,10 +538,9 @@ impl Server {
         }
     }
 
-    /// Mirrors the durable ledger's WAL and journal health into the
-    /// metrics registry — registered as a collector by
-    /// [`Server::start_durable`], so every scrape reports durability
-    /// (breaker state and retry outcomes included) alongside throughput.
+    /// Copies the WAL writer's stats, the journal breaker and backlog, and
+    /// readiness with the breaker folded in into gauges at scrape time (the
+    /// collector registered by [`Server::start_durable`]).
     fn publish_wal_stats(
         exporter: &MetricsRegistry,
         durable: &DurableLedger,
@@ -618,21 +553,12 @@ impl Server {
             ("pcor_wal_segments", "Live WAL segment files on disk."),
             ("pcor_wal_checkpoints", "Compaction checkpoints written since open."),
             ("pcor_wal_records_since_checkpoint", "Tail length a restart would replay."),
-            ("pcor_wal_journal_errors", "Journal appends that exhausted their retries."),
-            ("pcor_retries_total", "Journal append retries by outcome."),
             ("pcor_breaker_state", "Journal circuit breaker: 0 closed, 1 half-open, 2 open."),
             ("pcor_journal_backlog", "Audit records awaiting a journal recovery flush."),
-            ("pcor_breaker_trips", "Times the journal breaker opened."),
-            ("pcor_wal_replay_events", "Events replayed by the last startup recovery."),
-            ("pcor_wal_replay_seconds", "Wall time of the last startup recovery."),
-            ("pcor_wal_dangling_refunded", "Crash-dangling reservations refunded at recovery."),
-            ("pcor_wal_refunded_epsilon", "Epsilon those dangling refunds released."),
-            ("pcor_wal_warm_seeded", "Warm cache entries re-seeded from the checkpoint."),
         ] {
             exporter.set_help(name, help);
         }
         let stats = durable.wal_stats();
-        let report = durable.report();
         let journal = durable.journal_health();
         let set = |name: &str, value: f64| exporter.gauge(name, &[]).set(value);
         set("pcor_wal_appended_records", stats.appended_records as f64);
@@ -641,32 +567,13 @@ impl Server {
         set("pcor_wal_segments", stats.segments as f64);
         set("pcor_wal_checkpoints", stats.checkpoints as f64);
         set("pcor_wal_records_since_checkpoint", stats.records_since_checkpoint as f64);
-        set("pcor_wal_journal_errors", journal.errors as f64);
-        exporter
-            .gauge("pcor_retries_total", &[("outcome", "recovered")])
-            .set(journal.retries_recovered as f64);
-        exporter
-            .gauge("pcor_retries_total", &[("outcome", "exhausted")])
-            .set(journal.errors as f64);
         set("pcor_breaker_state", journal.breaker.gauge());
         set("pcor_journal_backlog", journal.backlog as f64);
-        set("pcor_breaker_trips", journal.trips as f64);
         // Fold the breaker into readiness: an open breaker means reserves
         // are refused (fail-closed read-only), so the server is not ready
         // even though it is still up and answering.
         let ready = accepting.load(Ordering::Acquire) && journal.accepting_reserves;
         set("pcor_ready", if ready { 1.0 } else { 0.0 });
-        set("pcor_wal_replay_events", report.events_replayed as f64);
-        set("pcor_wal_replay_seconds", report.replay_duration.as_secs_f64());
-        set("pcor_wal_dangling_refunded", report.dangling_refunded as f64);
-        set("pcor_wal_refunded_epsilon", report.refunded_epsilon);
-        let (contexts, references) = durable.warm_seeded();
-        exporter
-            .gauge("pcor_wal_warm_seeded", &[("cache", "starting_context")])
-            .set(contexts as f64);
-        exporter
-            .gauge("pcor_wal_warm_seeded", &[("cache", "reference_file")])
-            .set(references as f64);
     }
 
     /// Spawns the serving task for one admitted envelope.
@@ -720,7 +627,7 @@ impl Server {
         // Injected clock skew makes deadlines effectively earlier, exactly
         // as it does for the serving-side cancel token.
         let deadline = deadline.saturating_sub(self.faults.skew());
-        let mean = self.metrics.snapshot().mean_latency;
+        let mean = self.metrics.mean_latency();
         if mean.is_zero() {
             return Ok(());
         }
@@ -840,6 +747,12 @@ impl Server {
     }
 
     /// A snapshot of the server counters, pool health included.
+    ///
+    /// The counters live in the telemetry bundle's registry (the one
+    /// [`Server::telemetry`] scrapes), not in the server: a second server
+    /// started on the same ledger reuses the bundle the ledger carries, so
+    /// it continues the first server's counts instead of starting from
+    /// zero.
     pub fn metrics(&self) -> ServerMetricsSnapshot {
         self.metrics.snapshot().with_pool(self.pool.stats())
     }
@@ -1034,7 +947,7 @@ impl Task {
         // whole: once an analyst's ε is gone, the server answers nothing
         // more about that dataset.
         let total_epsilon = batch.total_epsilon();
-        let mechanism = Server::mechanism_name(batch.mechanism.unwrap_or_default());
+        let mechanism = mechanism_name(batch.mechanism.unwrap_or_default());
         let reserve_outcome = {
             let _reserve_span = self.telemetry.span(self.trace, Some(parent), "ledger.reserve");
             self.ledger.reserve_traced(
@@ -1923,6 +1836,18 @@ mod tests {
             registry,
             Arc::clone(&durable),
         )
+    }
+
+    #[test]
+    fn a_dropped_durable_server_frees_its_ledger() {
+        let dir = wal_test_dir("drop");
+        let server = durable_server(&dir, 1.0);
+        server.execute(toy_request("alice", 7)).unwrap();
+        assert!(server.telemetry().render_prometheus().contains("pcor_wal_appended_records"));
+        let durable = Arc::downgrade(server.durable().expect("started durable"));
+        drop(server);
+        assert!(durable.upgrade().is_none(), "the scrape collector must not keep the ledger alive");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

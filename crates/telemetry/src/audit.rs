@@ -380,7 +380,8 @@ impl AuditLog {
         Ok(())
     }
 
-    /// Serializes every event as a JSON array — the WAL-precursor dump.
+    /// Serializes every event as a pretty-printed JSON array: a readable
+    /// dump of the events a durable ledger journals to its WAL.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(&self.events()).expect("audit events serialize infallibly")
     }

@@ -18,20 +18,25 @@
 //!    ring buffer that tests and examples drain and pretty-print.
 //! 3. **Budget auditing** ([`AuditLog`], [`BudgetEvent`]): an append-only,
 //!    serializable record of every ε reserve/commit/refund/refusal with a
-//!    logical clock — the precursor of the ROADMAP's write-ahead ledger.
+//!    logical clock. The service's ledger balances are the fold of this
+//!    log, and its durable ledger journals the same events to a WAL.
 //!
 //! Everything is hand-rolled on `std` — no network, no external crates —
 //! matching the workspace's vendored-offline policy.
 //!
-//! # Collectors
+//! # Counting at the source, and collectors
 //!
-//! Subsystems that already keep their own counters (the server, the pool,
-//! the context cache) register a *collector* closure via
-//! [`Telemetry::register_collector`]. Collectors run immediately before
-//! every export, refreshing registry gauges from those native snapshots —
-//! so a single [`Telemetry::render_prometheus`] scrape is always
-//! consistent with `Server::metrics()` and friends without the hot paths
-//! paying for double bookkeeping.
+//! A layer that counts its own events registers its series once and keeps
+//! the returned handles: the serving path, the journal and the network
+//! reactor increment counters and histograms where each event happens, and
+//! read their programmatic snapshots (`Server::metrics()` and friends)
+//! back from those same handles. Monotone values are therefore
+//! [`Counter`]s, and a scrape always agrees with the snapshot.
+//!
+//! A *collector* ([`Telemetry::register_collector`]) is only for state
+//! kept by a crate that does not depend on this one, such as the worker
+//! pool's and the dataset caches' own counters. Collectors run immediately
+//! before every export and copy those snapshots into gauges.
 
 mod audit;
 mod metrics;

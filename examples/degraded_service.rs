@@ -129,11 +129,13 @@ fn main() {
     println!("\nhealth: {health:?}");
     let scrape = server.telemetry().render_prometheus();
     for line in scrape.lines() {
-        if line.starts_with("pcor_deadline_exceeded_total")
-            || line.starts_with("pcor_shed_total")
-            || line.starts_with("pcor_retries_total")
-            || line.starts_with("pcor_breaker_state")
-            || line.starts_with("pcor_ready")
+        // Keep the `# TYPE` headers too: they show counters vs gauges.
+        let series = line.strip_prefix("# TYPE ").unwrap_or(line);
+        if series.starts_with("pcor_deadline_exceeded_total")
+            || series.starts_with("pcor_shed_total")
+            || series.starts_with("pcor_retries_total")
+            || series.starts_with("pcor_breaker_state")
+            || series.starts_with("pcor_ready")
         {
             println!("{line}");
         }

@@ -148,16 +148,15 @@ fn main() {
 
     // The same numbers — plus budget gauges and per-stage latency
     // histograms — in one Prometheus scrape, ready for a /metrics endpoint.
+    // The `# TYPE` lines show which series are counters and which gauges.
     let telemetry = server.telemetry();
     println!("\n--- Prometheus scrape (excerpt) ---");
-    for line in
-        telemetry.render_prometheus().lines().filter(|line| !line.starts_with('#')).filter(|line| {
-            line.starts_with("pcor_releases_")
-                || line.starts_with("pcor_budget_")
-                || line.starts_with("pcor_verifier_bytes_scanned")
-                || line.starts_with("pcor_mechanism_releases")
-        })
-    {
+    for line in telemetry.render_prometheus().lines().filter(|line| {
+        let series = line.strip_prefix("# TYPE ").unwrap_or(line);
+        ["pcor_releases_", "pcor_budget_", "pcor_verifier_bytes_scanned", "pcor_mechanism_releases"]
+            .iter()
+            .any(|prefix| series.starts_with(prefix))
+    }) {
         println!("{line}");
     }
 

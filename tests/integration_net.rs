@@ -459,6 +459,30 @@ fn a_zero_deadline_is_answered_invalid_request_over_the_wire() {
     front.shutdown();
 }
 
+/// A frame of 10,000 nested `[` is a malformed envelope, not a stack
+/// overflow: the parser stops at its depth limit, the reactor answers
+/// `invalid-request`, and the same connection then has a release served.
+#[test]
+fn deeply_nested_json_is_answered_invalid_request_and_the_front_keeps_serving() {
+    let (server, ledger, records) = salary_server(10.0, 1, 64);
+    let front = NetFront::bind(NetConfig::default(), Arc::clone(&server)).unwrap();
+    let mut client = NetClient::connect(front.rpc_addr()).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
+
+    client.send_bytes(&pcor::service::frame_bytes(&"[".repeat(10_000))).unwrap();
+    let WireReply::Error(error) = client.recv().unwrap() else {
+        panic!("a nested-bracket frame must be answered with an error");
+    };
+    assert_eq!(error.kind, "invalid-request", "{error:?}");
+
+    let replies = client.call(&single("alice", records[0], 0.2, 5)).unwrap();
+    assert!(matches!(replies.last(), Some(WireReply::Response(_))), "{replies:?}");
+    wait_for_drain(&server);
+    assert!((ledger.spent("alice", "salary") - 0.2).abs() < 1e-9);
+    assert_no_budget_leak(&server, &ledger);
+    front.shutdown();
+}
+
 /// The `service.release` fault seam fires once per admitted envelope:
 /// singles and batches alike, in process and over the wire, so chaos
 /// scripts reach every serving task.

@@ -204,6 +204,82 @@ fn a_batch_release_is_fully_observable_in_one_scrape() {
     assert!(metrics.verifier_words_scanned > 0, "the verifier meters its fused passes");
     assert!(scrape.contains(r#"pcor_mechanism_releases{mechanism="exponential"}"#));
     assert!(scrape.contains(r#"analyst="alice""#) && scrape.contains(r#"dataset="salary""#));
+
+    // Monotone series are counters, and each scraped value is the one
+    // `Server::metrics()` reads: both come from the same registry handle.
+    for name in [
+        "pcor_releases_served",
+        "pcor_releases_refused",
+        "pcor_releases_failed",
+        "pcor_verifier_calls",
+        "pcor_verifier_lookups",
+        "pcor_verifier_cache_hits",
+        "pcor_verifier_words_scanned",
+        "pcor_verifier_bytes_scanned",
+        "pcor_kernel_bytes_scanned",
+        "pcor_mechanism_releases",
+        "pcor_deadline_exceeded_total",
+        "pcor_shed_total",
+    ] {
+        assert_type(&scrape, name, "counter");
+    }
+    assert_type(&scrape, "pcor_release_latency_nanos", "histogram");
+    let tally = metrics.mechanism_releases;
+    for (series, expected) in [
+        ("pcor_releases_served", metrics.served),
+        ("pcor_releases_refused", metrics.refused),
+        ("pcor_releases_failed", metrics.failed),
+        ("pcor_verifier_calls", metrics.verification_calls),
+        ("pcor_verifier_lookups", metrics.verifier_lookups),
+        ("pcor_verifier_cache_hits", metrics.verifier_cache_hits),
+        ("pcor_verifier_words_scanned", metrics.verifier_words_scanned),
+        ("pcor_verifier_bytes_scanned", metrics.verifier_words_scanned * 8),
+        (r#"pcor_mechanism_releases{mechanism="exponential"}"#, tally.exponential),
+        (r#"pcor_mechanism_releases{mechanism="permute_and_flip"}"#, tally.permute_and_flip),
+        (r#"pcor_mechanism_releases{mechanism="report_noisy_max"}"#, tally.report_noisy_max),
+        ("pcor_deadline_exceeded_total", metrics.deadline_exceeded),
+        ("pcor_shed_total", metrics.shed),
+    ] {
+        assert_eq!(sample(&scrape, series), expected as f64, "scraped `{series}`");
+    }
+    assert_eq!(
+        sample(&scrape, "pcor_release_latency_nanos_count"),
+        1.0,
+        "one request released, so one latency observation"
+    );
+
+    // The journal's counts are counters on a durable ledger's registry.
+    let dir = std::env::temp_dir().join(format!("pcor-telemetry-types-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable = DurableLedger::open(WalConfig::at(&dir), BudgetLedger::new(1.0)).unwrap();
+    let scrape = durable.telemetry().render_prometheus();
+    for name in [
+        "pcor_wal_journal_errors",
+        "pcor_retries_total",
+        "pcor_breaker_trips",
+        "pcor_wal_warm_seeded",
+    ] {
+        assert_type(&scrape, name, "counter");
+    }
+    assert_eq!(sample(&scrape, r#"pcor_retries_total{outcome="exhausted"}"#), 0.0);
+    drop(durable);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Asserts the scrape declares `name` with the Prometheus type `kind`.
+fn assert_type(scrape: &str, name: &str, kind: &str) {
+    let header = format!("# TYPE {name} {kind}");
+    assert!(scrape.lines().any(|line| line == header), "scrape must declare `{header}`:\n{scrape}");
+}
+
+/// The value of the sample line for exactly `series` (name plus labels).
+fn sample(scrape: &str, series: &str) -> f64 {
+    scrape
+        .lines()
+        .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("scrape must carry `{series}`:\n{scrape}"))
+        .parse()
+        .unwrap()
 }
 
 /// Client-supplied trace ids are adopted verbatim; envelopes without one
