@@ -21,6 +21,7 @@ use pcor_service::{
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::task::Waker;
 use std::time::Instant;
 
 /// Which listener a connection arrived on.
@@ -86,6 +87,9 @@ const MAX_HTTP_HEAD: usize = 8 * 1024;
 pub(crate) struct Conn {
     pub(crate) stream: TcpStream,
     pub(crate) proto: Proto,
+    /// Registered on every admitted handle; rings the reactor when a
+    /// completion is ready to pump.
+    waker: Waker,
     decoder: FrameDecoder,
     http_buf: Vec<u8>,
     write_buf: Vec<u8>,
@@ -103,10 +107,17 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    pub(crate) fn new(stream: TcpStream, proto: Proto, config: &NetConfig, now: Instant) -> Self {
+    pub(crate) fn new(
+        stream: TcpStream,
+        proto: Proto,
+        waker: Waker,
+        config: &NetConfig,
+        now: Instant,
+    ) -> Self {
         Conn {
             stream,
             proto,
+            waker,
             decoder: FrameDecoder::with_max_frame(config.max_frame_len),
             http_buf: Vec::new(),
             write_buf: Vec::new(),
@@ -131,11 +142,6 @@ impl Conn {
     pub(crate) fn read_paused(&self, config: &NetConfig) -> bool {
         self.pending_write() >= config.write_buf_limit
             || self.queue.len() >= config.max_inflight_per_conn
-    }
-
-    /// Whether any admitted request is still unanswered.
-    pub(crate) fn has_inflight(&self) -> bool {
-        self.queue.iter().any(|entry| matches!(entry, PendingReply::Admitted(_)))
     }
 
     /// Whether this connection owes the peer anything at all.
@@ -246,7 +252,10 @@ impl Conn {
             metrics.frames_read.inc();
             let entry = match decode_request(&payload) {
                 Ok(envelope) => match server.try_submit_envelope(envelope) {
-                    Ok(pending) => PendingReply::Admitted(Box::new(pending)),
+                    Ok(pending) => {
+                        pending.set_waker(&self.waker);
+                        PendingReply::Admitted(Box::new(pending))
+                    }
                     Err(err) => {
                         let error = WireError::from_service(&err);
                         if error.is_backpressure() {
@@ -419,7 +428,7 @@ mod tests {
         let metrics = NetMetrics::register(&MetricsRegistry::new());
         let faults = Faults::disabled();
         let now = Instant::now();
-        let mut conn = Conn::new(server, Proto::Rpc, &config, now);
+        let mut conn = Conn::new(server, Proto::Rpc, Waker::noop().clone(), &config, now);
         // Far more than loopback send+receive buffers absorb: the first
         // flush stops on WouldBlock with bytes still buffered.
         conn.write_buf = vec![0xAB; 32 * 1024 * 1024];
@@ -443,7 +452,7 @@ mod tests {
         let metrics = NetMetrics::register(&MetricsRegistry::new());
         let faults = Faults::disabled();
         let now = Instant::now();
-        let mut conn = Conn::new(server, Proto::Rpc, &config, now);
+        let mut conn = Conn::new(server, Proto::Rpc, Waker::noop().clone(), &config, now);
         for _ in 0..64 {
             conn.queue.push_back(refused_entry());
         }

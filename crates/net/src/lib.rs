@@ -16,6 +16,12 @@
 //! - Batch results stream back per item the moment each release resolves;
 //!   replies to one connection stay FIFO with its requests so pipelining
 //!   clients correlate by order.
+//! - Completions wake the reactor: each connection registers a
+//!   [`std::task::Waker`] on the handles it admits
+//!   ([`PendingResponse::set_waker`]), whose ring queues the connection on
+//!   a ready list and writes one byte to a non-blocking socket pair that
+//!   epoll watches. Nothing polls; the epoll timeout comes only from the
+//!   deadline wheel.
 //! - Back-pressure is end-to-end: admission refusals (`QueueFull`,
 //!   `Overloaded`) become framed error replies carrying `retry_after`, a
 //!   connection whose write buffer fills stops being polled for reads, and
@@ -26,11 +32,13 @@
 //!   scrapers need no custom client.
 //!
 //! Reactor observability lands in the server's own registry under
-//! `pcor_net_*`; socket-level fault injection (short reads, mid-frame
+//! `pcor_net_*` (including `pcor_net_loop_busy_nanos`, a histogram of each
+//! loop iteration's busy time); socket-level fault injection (short reads, mid-frame
 //! resets, injected I/O errors) threads through [`pcor_faults`] seams at
 //! `net.accept` / `net.read` / `net.write`.
 //!
 //! [`RequestEnvelope`]: pcor_service::RequestEnvelope
+//! [`PendingResponse::set_waker`]: pcor_service::PendingResponse::set_waker
 //! [`Server::try_submit_envelope`]: pcor_service::Server::try_submit_envelope
 //! [`Server::health`]: pcor_service::Server::health
 

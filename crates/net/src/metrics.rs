@@ -2,7 +2,7 @@
 //! *server's* registry so one `/metrics` scrape (or `snapshot_json`)
 //! covers the wire front and the serving stack together.
 
-use pcor_telemetry::{Counter, Gauge, MetricsRegistry};
+use pcor_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::sync::Arc;
 
 /// Pre-resolved handles for the reactor's hot paths (registration is
@@ -39,6 +39,10 @@ pub(crate) struct NetMetrics {
     pub closed_error: Arc<Counter>,
     /// HTTP requests served (any path).
     pub http_requests: Arc<Counter>,
+    /// Busy time of each reactor loop iteration, from `epoll_wait`
+    /// returning to the next call: a stall of every connection shows as
+    /// this histogram's maximum.
+    pub loop_busy: Arc<Histogram>,
 }
 
 impl NetMetrics {
@@ -61,6 +65,10 @@ impl NetMetrics {
             "Connections closed, labelled by cause.",
         );
         registry.set_help("pcor_net_http_requests_total", "HTTP requests served.");
+        registry.set_help(
+            "pcor_net_loop_busy_nanos",
+            "Busy time of each reactor loop iteration, from epoll_wait returning to the next call.",
+        );
         NetMetrics {
             open: registry.gauge("pcor_net_connections_open", &[]),
             accepted_rpc: registry.counter("pcor_net_connections_total", &[("proto", "rpc")]),
@@ -81,6 +89,7 @@ impl NetMetrics {
             closed_error: registry
                 .counter("pcor_net_connections_closed_total", &[("cause", "error")]),
             http_requests: registry.counter("pcor_net_http_requests_total", &[]),
+            loop_busy: registry.histogram("pcor_net_loop_busy_nanos", &[]),
         }
     }
 }

@@ -6,16 +6,25 @@
 //! [`NetFront::shutdown`] or drop. The loop itself is the classic
 //! readiness design:
 //!
-//! 1. `epoll_wait` with an adaptive timeout — short (1 ms) while any
-//!    request is in flight, because completions arrive over in-process
-//!    channels that epoll cannot observe; otherwise bounded by the
-//!    deadline wheel's next reap check.
+//! 1. `epoll_wait`, with a timeout that only the deadline wheel's next
+//!    reap check sets. Completions need no polling: they wake the loop
+//!    through the waker socket (below).
 //! 2. Dispatch readiness: accept new connections, read/parse/submit on
 //!    readable ones, flush on writable ones.
-//! 3. Pump completions: every connection with admitted requests moves
-//!    finished results into its write buffer and flushes opportunistically.
+//! 3. Pump completions: every connection on the ready list moves finished
+//!    results into its write buffer and flushes opportunistically.
 //! 4. Reap: the wheel surfaces connections whose idle or stall deadline
 //!    may have passed; live ones re-arm, dead ones close.
+//!
+//! Completions arrive over in-process channels that epoll cannot observe,
+//! so each connection registers one [`Waker`] on every handle it admits
+//! ([`pcor_service::PendingResponse::set_waker`]). A serving task rings it
+//! after each streamed item and after its terminal reply. The ring pushes
+//! the connection's slot id onto a shared ready list and, only when it
+//! arms the flag the loop clears each iteration, writes one byte to the
+//! non-blocking write end of the waker socket pair, which epoll does
+//! observe. A pool worker therefore never blocks on the reactor, and a
+//! burst of completions costs one wakeup.
 //!
 //! Closing a connection drops its queued completion handles, which the
 //! serving stack observes as a departed consumer: streaming batches stop
@@ -30,13 +39,13 @@ use crate::wheel::DeadlineWheel;
 use crate::NetConfig;
 use pcor_faults::{site, Faults};
 use pcor_service::Server;
-use std::collections::BTreeSet;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::task::{Wake, Waker};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -50,11 +59,59 @@ const MAX_CONN_ID: u64 = u64::MAX - 3;
 const WHEEL_GRANULARITY: Duration = Duration::from_millis(100);
 /// Wheel horizon = granularity × slots; longer deadlines re-arm.
 const WHEEL_SLOTS: usize = 512;
-/// Poll timeout while requests are in flight (completion channels are
-/// invisible to epoll, so the reactor must look for itself).
-const BUSY_TIMEOUT_MS: i32 = 1;
-/// Poll timeout while fully idle with nothing scheduled.
+/// Longest poll timeout, also used when nothing is scheduled.
 const IDLE_TIMEOUT_MS: i32 = 200;
+
+/// Where completions tell the reactor which connections to pump.
+///
+/// The `ids` mutex orders each push against the loop's take. `armed` only
+/// decides which ring writes the wakeup byte: the loop clears it before
+/// taking the list, so a push the take misses finds it clear (its swap
+/// comes after the take, which comes after the clear) and writes a byte.
+#[derive(Debug)]
+struct ReadyList {
+    /// Slot ids rung since the loop last took the list.
+    ids: Mutex<Vec<u32>>,
+    /// Set by the first ring after the loop clears it; only that ring
+    /// writes a wakeup byte.
+    armed: AtomicBool,
+    /// The non-blocking write end of the waker socket pair.
+    waker: UnixStream,
+}
+
+impl ReadyList {
+    fn push(&self, id: u32) {
+        // Rings run in a serving task's drop guard, where a panic would
+        // abort; a `Vec` push leaves the list valid even if one unwound.
+        self.ids.lock().unwrap_or_else(PoisonError::into_inner).push(id);
+        if !self.armed.swap(true, Ordering::AcqRel) {
+            self.wake();
+        }
+    }
+
+    /// Writes one byte to the waker socket. It never blocks: a full socket
+    /// already has bytes that will wake the loop.
+    fn wake(&self) {
+        let _ = (&self.waker).write(&[1]);
+    }
+}
+
+/// One connection's completion waker: rings its slot id onto the ready
+/// list.
+struct ConnWaker {
+    id: u32,
+    ready: Arc<ReadyList>,
+}
+
+impl Wake for ConnWaker {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.ready.push(self.id);
+    }
+}
 
 /// Handle to a running reactor. Dropping it stops the reactor thread and
 /// closes every connection (in-flight batches are cancelled and their
@@ -64,7 +121,7 @@ pub struct NetFront {
     rpc_addr: SocketAddr,
     http_addr: Option<SocketAddr>,
     stop: Arc<AtomicBool>,
-    waker: UnixStream,
+    ready: Arc<ReadyList>,
     join: Option<JoinHandle<()>>,
 }
 
@@ -91,7 +148,10 @@ impl NetFront {
         };
         let http_addr = http_listener.as_ref().map(TcpListener::local_addr).transpose()?;
         let (waker, waker_rx) = UnixStream::pair()?;
+        waker.set_nonblocking(true)?;
         waker_rx.set_nonblocking(true)?;
+        let ready =
+            Arc::new(ReadyList { ids: Mutex::default(), armed: AtomicBool::new(false), waker });
         epoll.add(rpc_listener.as_raw_fd(), EPOLLIN, TOKEN_RPC)?;
         if let Some(listener) = &http_listener {
             epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_HTTP)?;
@@ -105,6 +165,7 @@ impl NetFront {
             rpc_listener,
             http_listener,
             waker_rx,
+            ready: Arc::clone(&ready),
             server,
             faults,
             metrics,
@@ -112,14 +173,13 @@ impl NetFront {
             conns: Vec::new(),
             free: Vec::new(),
             open: 0,
-            inflight: BTreeSet::new(),
             wheel: DeadlineWheel::new(WHEEL_GRANULARITY, WHEEL_SLOTS, Instant::now()),
             config,
         };
         let join = std::thread::Builder::new()
             .name("pcor-net-reactor".to_string())
             .spawn(move || reactor.run())?;
-        Ok(NetFront { rpc_addr, http_addr, stop, waker, join: Some(join) })
+        Ok(NetFront { rpc_addr, http_addr, stop, ready, join: Some(join) })
     }
 
     /// The envelope listener's bound address (ephemeral ports resolved).
@@ -140,7 +200,7 @@ impl NetFront {
 
     fn stop(&mut self) {
         self.stop.store(true, Ordering::Release);
-        let _ = (&self.waker).write(&[1]);
+        self.ready.wake();
         if let Some(join) = self.join.take() {
             let _ = join.join();
         }
@@ -158,6 +218,7 @@ struct Reactor {
     rpc_listener: TcpListener,
     http_listener: Option<TcpListener>,
     waker_rx: UnixStream,
+    ready: Arc<ReadyList>,
     server: Arc<Server>,
     config: NetConfig,
     faults: Faults,
@@ -167,16 +228,13 @@ struct Reactor {
     conns: Vec<Option<Conn>>,
     free: Vec<u32>,
     open: usize,
-    /// Slots with admitted-but-unanswered requests — the set the
-    /// completion pump visits, so thousands of idle connections cost
-    /// nothing per tick.
-    inflight: BTreeSet<u32>,
     wheel: DeadlineWheel,
 }
 
 impl Reactor {
     fn run(mut self) {
         let mut events = vec![EpollEvent { events: 0, data: 0 }; 256];
+        let mut ready = Vec::new();
         while !self.stop.load(Ordering::Acquire) {
             let timeout = self.poll_timeout();
             let fired = match self.epoll.wait(&mut events, timeout) {
@@ -196,20 +254,27 @@ impl Reactor {
                     _ => {}
                 }
             }
-            // Completion pump: only connections with requests in flight.
-            for id in self.inflight.iter().copied().collect::<Vec<_>>() {
+            // Completion pump: only connections whose handles rang. Clear
+            // the armed flag before taking the list, so a ring that misses
+            // this take writes a fresh wakeup byte. An id whose slot was
+            // closed (and perhaps reused) since it rang gets one extra
+            // `service`, which is harmless: pumping is idempotent.
+            self.ready.armed.store(false, Ordering::Release);
+            std::mem::swap(
+                &mut *self.ready.ids.lock().unwrap_or_else(PoisonError::into_inner),
+                &mut ready,
+            );
+            for id in ready.drain(..) {
                 self.service(id, now);
             }
             self.reap(now);
+            self.metrics.loop_busy.record_duration(now.elapsed());
         }
         // Dropping `conns` here closes every socket and cancels in-flight
         // batches (their streams' consumers vanish).
     }
 
     fn poll_timeout(&self) -> i32 {
-        if !self.inflight.is_empty() {
-            return BUSY_TIMEOUT_MS;
-        }
         match self.wheel.next_deadline() {
             Some(deadline) => {
                 let wait = deadline.saturating_duration_since(Instant::now());
@@ -245,10 +310,12 @@ impl Reactor {
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    let mut conn = Conn::new(stream, proto, &self.config, now);
+                    let id = self.alloc_slot();
+                    let waker =
+                        Waker::from(Arc::new(ConnWaker { id, ready: Arc::clone(&self.ready) }));
+                    let mut conn = Conn::new(stream, proto, waker, &self.config, now);
                     let interest = conn.desired_interest(&self.config);
                     conn.interest = interest;
-                    let id = self.alloc_slot();
                     let fd = conn.stream.as_raw_fd();
                     if self.epoll.add(fd, interest, u64::from(id)).is_err() {
                         self.free.push(id);
@@ -298,9 +365,8 @@ impl Reactor {
         self.service(id, now);
     }
 
-    /// Pumps completions into the write buffer, flushes, refreshes the
-    /// inflight set and the epoll interest. The single post-I/O path for
-    /// every live connection.
+    /// Pumps completions into the write buffer, flushes and refreshes the
+    /// epoll interest. The single post-I/O path for every live connection.
     fn service(&mut self, id: u32, now: Instant) {
         let Some(conn) = self.conns.get_mut(id as usize).and_then(Option::as_mut) else {
             return;
@@ -317,11 +383,6 @@ impl Reactor {
             if !capped || conn.pending_write() > 0 {
                 break;
             }
-        }
-        if conn.has_inflight() {
-            self.inflight.insert(id);
-        } else {
-            self.inflight.remove(&id);
         }
         let desired = conn.desired_interest(&self.config);
         if desired != conn.interest {
@@ -357,7 +418,6 @@ impl Reactor {
         if let Some(conn) = self.conns[id as usize].take() {
             let _ = self.epoll.delete(conn.stream.as_raw_fd());
             reason.record(&self.metrics);
-            self.inflight.remove(&id);
             self.free.push(id);
             self.open -= 1;
             self.metrics.open.set(self.open as f64);

@@ -30,7 +30,9 @@
 //! that is only waited on never holds its worker. The terminal reply
 //! never waits either. A single emits no items, only its reply. Dropping
 //! the handle cancels a batch's unprocessed items and refunds their ε
-//! slices.
+//! slices. A consumer that must not block (the network reactor) registers
+//! a [`std::task::Waker`] with [`PendingResponse::set_waker`]; the serving
+//! task rings it after each item it sends and once the reply is left.
 //!
 //! Budget safety under concurrency comes from the ledger's two-phase
 //! protocol: a task *reserves* the **sum** of the items' ε — refused whole
@@ -83,7 +85,8 @@ use pcor_runtime::{PoolStats, ThreadPool};
 use pcor_telemetry::{MetricsRegistry, SpanId, Telemetry, TraceId};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::task::Waker;
 use std::time::Instant;
 
 /// Configuration of the server's execution pool.
@@ -207,6 +210,16 @@ struct Shared {
     /// The serving task leaves it here and then drops its sender, so the
     /// reply never waits for the consumer to take the last item.
     reply: Mutex<Option<Result<ResponseEnvelope>>>,
+    /// The consumer's waker ([`PendingResponse::set_waker`]).
+    ring: Mutex<Ring>,
+}
+
+/// Where a completion rings: the registered waker, or a note that a ring
+/// came before any waker did.
+#[derive(Debug, Default)]
+struct Ring {
+    waker: Option<Waker>,
+    missed: bool,
 }
 
 impl Shared {
@@ -218,6 +231,58 @@ impl Shared {
     const ITEMS: u8 = 1;
     /// The handle was dropped: cancel the remaining items.
     const GONE: u8 = 2;
+
+    /// Tells the consumer an event is ready: wakes its waker, or notes the
+    /// ring for a waker registered later.
+    fn ring(&self) {
+        // Called from `Completion`'s drop, where a panic would abort; each
+        // update leaves the slot valid, so a poisoned lock is still usable.
+        let mut ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
+        match &ring.waker {
+            Some(waker) => waker.wake_by_ref(),
+            None => ring.missed = true,
+        }
+    }
+}
+
+/// The serving task's end of a handle: the item sender. Every delivered
+/// item rings the handle's waker, and so does the hang-up on drop, which
+/// also runs when the task panics or the pool drops it unrun: the
+/// consumer always hears about the terminal reply (a missing one reads as
+/// [`ServiceError::Shutdown`]).
+struct Completion {
+    items: Option<mpsc::SyncSender<BatchItemResponse>>,
+    shared: Arc<Shared>,
+}
+
+impl Completion {
+    /// Sends one item, waiting for room when `block`. `Ok(false)` means the
+    /// channel was full; `Err(())` that the handle is gone.
+    fn deliver(&self, item: BatchItemResponse, block: bool) -> std::result::Result<bool, ()> {
+        let items = self.items.as_ref().expect("the sender lives until drop");
+        let sent = if block {
+            items.send(item).is_ok()
+        } else {
+            match items.try_send(item) {
+                Ok(()) => true,
+                Err(mpsc::TrySendError::Full(_)) => return Ok(false),
+                Err(mpsc::TrySendError::Disconnected(_)) => false,
+            }
+        };
+        if !sent {
+            return Err(());
+        }
+        self.shared.ring();
+        Ok(true)
+    }
+}
+
+impl Drop for Completion {
+    fn drop(&mut self) {
+        // Hang up first, so the woken consumer finds the reply.
+        drop(self.items.take());
+        self.shared.ring();
+    }
 }
 
 /// The completion handle of a submitted envelope.
@@ -319,8 +384,9 @@ impl PendingResponse {
     /// Non-blocking [`PendingResponse::next_item`]: a finished item if one
     /// is ready right now, `None` otherwise (which means *not yet* until
     /// [`PendingResponse::is_finished`] says the reply has arrived). This
-    /// is the poll surface the network reactor drains between epoll
-    /// wakeups — it must never park the reactor thread on a slow release.
+    /// is the surface the network reactor drains when the handle's waker
+    /// ([`PendingResponse::set_waker`]) rings — it must never park the
+    /// reactor thread on a slow release.
     pub fn try_next_item(&mut self) -> Option<BatchItemResponse> {
         self.take_item(false)
     }
@@ -348,6 +414,20 @@ impl PendingResponse {
     pub fn wait(mut self) -> Result<ResponseEnvelope> {
         while self.receive(true).is_some() {}
         self.done.take().unwrap_or(Err(ServiceError::Shutdown))
+    }
+
+    /// Registers the waker the serving task rings after each item it
+    /// delivers and once it has left the terminal reply (also when it
+    /// panics). A ring that came before registration, or a reply that has
+    /// already landed, wakes `waker` at once, so no completion is missed
+    /// between submission and registration. A later call replaces the
+    /// waker.
+    pub fn set_waker(&self, waker: &Waker) {
+        let mut ring = self.shared.ring.lock().unwrap_or_else(PoisonError::into_inner);
+        ring.waker = Some(waker.clone());
+        if std::mem::take(&mut ring.missed) || self.done.is_some() {
+            waker.wake_by_ref();
+        }
     }
 }
 
@@ -582,6 +662,7 @@ impl Server {
         // stays at most one finished item ahead of it.
         let (items, receiver) = mpsc::sync_channel(1);
         let shared = Arc::new(Shared::default());
+        let completion = Completion { items: Some(items), shared: Arc::clone(&shared) };
         let task = Task {
             registry: Arc::clone(&self.registry),
             ledger: Arc::clone(&self.ledger),
@@ -606,7 +687,7 @@ impl Server {
             shared: Arc::clone(&shared),
             _slot: slot,
         };
-        self.pool.spawn(move || task.run(envelope, items));
+        self.pool.spawn(move || task.run(envelope, completion));
         PendingResponse::new(receiver, shared)
     }
 
@@ -847,7 +928,7 @@ struct Task {
 impl Task {
     /// Serves the envelope, streams its items, leaves the reply, then runs
     /// the post-reply housekeeping.
-    fn run(self, envelope: RequestEnvelope, items: mpsc::SyncSender<BatchItemResponse>) {
+    fn run(self, envelope: RequestEnvelope, completion: Completion) {
         // The service seam: injected latency simulates a slow serving
         // task (deadline pressure), an injected panic exercises the
         // refund-on-unwind guarantees.
@@ -872,28 +953,21 @@ impl Task {
                 // each send waits for the consumer to take the last; before
                 // that an item goes only if the channel has room.
                 for item in &finished[sent..] {
-                    let delivered = if streaming {
-                        items.send(item.clone()).is_ok()
-                    } else {
-                        match items.try_send(item.clone()) {
-                            Ok(()) => true,
-                            Err(mpsc::TrySendError::Full(_)) => return true,
-                            Err(mpsc::TrySendError::Disconnected(_)) => false,
-                        }
-                    };
-                    if !delivered {
-                        return false;
+                    match completion.deliver(item.clone(), streaming) {
+                        Ok(true) => sent += 1,
+                        Ok(false) => return true,
+                        Err(()) => return false,
                     }
-                    sent += 1;
                 }
                 true
             })
         };
         server_span.finish();
-        // Leave the reply, then hang up: the handle reads it once it has
-        // taken every sent item, so the reply never waits on the consumer.
+        // Leave the reply, then hang up (which rings the handle's waker):
+        // the handle reads it once it has taken every sent item, so the
+        // reply never waits on the consumer.
         *self.shared.reply.lock().expect("reply slot poisoned") = Some(reply);
-        drop(items);
+        drop(completion);
         // Auto-compaction rides the serving task, after the reply is
         // already on its way: the analyst never waits on a checkpoint. A
         // failed checkpoint leaves the existing log intact (replay just
@@ -1924,5 +1998,118 @@ mod tests {
         }
         server.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+    /// Counts the rings of a [`PendingResponse`]'s waker.
+    #[derive(Default)]
+    struct CountingWake(std::sync::atomic::AtomicUsize);
+
+    impl CountingWake {
+        fn count(&self) -> usize {
+            self.0.load(Ordering::SeqCst)
+        }
+
+        /// Waits up to 30 s for at least `at_least` rings.
+        fn await_count(&self, at_least: usize) -> usize {
+            let started = Instant::now();
+            while self.count() < at_least {
+                assert!(started.elapsed().as_secs() < 30, "only {} rings", self.count());
+                std::thread::yield_now();
+            }
+            self.count()
+        }
+    }
+
+    impl std::task::Wake for CountingWake {
+        fn wake(self: Arc<Self>) {
+            self.wake_by_ref();
+        }
+
+        fn wake_by_ref(self: &Arc<Self>) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    fn counting_waker() -> (Arc<CountingWake>, Waker) {
+        let wakes = Arc::new(CountingWake::default());
+        (Arc::clone(&wakes), Waker::from(wakes))
+    }
+
+    #[test]
+    fn the_waker_rings_after_each_streamed_item_and_after_the_reply() {
+        let (items, receiver) = mpsc::sync_channel(1);
+        let shared = Arc::new(Shared::default());
+        let mut handle = PendingResponse::new(receiver, Arc::clone(&shared));
+        let (wakes, waker) = counting_waker();
+        handle.set_waker(&waker);
+        assert_eq!(wakes.count(), 0, "nothing is ready yet");
+        let completion = Completion { items: Some(items), shared: Arc::clone(&shared) };
+        let item = |record_id| BatchItemResponse {
+            record_id,
+            epsilon: 0.1,
+            outcome: ItemOutcome::Failed { error: "test".to_string() },
+        };
+        assert_eq!(completion.deliver(item(0), false), Ok(true));
+        assert_eq!(wakes.count(), 1);
+        // A full channel keeps the item in the summary: no ring.
+        assert_eq!(completion.deliver(item(1), false), Ok(false));
+        assert_eq!(wakes.count(), 1);
+        assert_eq!(handle.try_next_item().map(|item| item.record_id), Some(0));
+        assert_eq!(completion.deliver(item(1), true), Ok(true));
+        assert_eq!(wakes.count(), 2);
+        assert!(!handle.is_finished());
+        *shared.reply.lock().unwrap() = Some(Err(ServiceError::QueueFull));
+        drop(completion);
+        assert_eq!(wakes.count(), 3, "the hang-up rings");
+        assert_eq!(handle.try_next_item().map(|item| item.record_id), Some(1));
+        assert!(handle.is_finished());
+        assert!(matches!(handle.wait(), Err(ServiceError::QueueFull)));
+    }
+
+    #[test]
+    fn the_waker_rings_when_the_serving_task_panics() {
+        use pcor_faults::{FaultKind, FaultPlan};
+        let faults = FaultPlan::scripted(vec![])
+            .at(pcor_faults::site::SERVICE_RELEASE, 1, FaultKind::Panic)
+            .build();
+        let registry = Arc::new(DatasetRegistry::new());
+        registry.register("toy", toy_dataset());
+        let ledger = Arc::new(BudgetLedger::new(1.0));
+        let server = Server::start(
+            ServerConfig::default().with_workers(1).with_faults(faults),
+            registry,
+            ledger,
+        );
+        let pending =
+            server.submit_envelope(RequestEnvelope::single(toy_request("alice", 1))).unwrap();
+        let (wakes, waker) = counting_waker();
+        pending.set_waker(&waker);
+        wakes.await_count(1);
+        assert!(matches!(pending.wait(), Err(ServiceError::Shutdown)));
+        assert_eq!(server.ledger().remaining("alice", "toy"), 1.0);
+    }
+
+    #[test]
+    fn set_waker_on_an_answered_handle_wakes_at_once() {
+        let server = toy_server(1.0, 1);
+        // Answered at admission: the request is malformed.
+        let refused = server
+            .submit_envelope(RequestEnvelope::single(toy_request("alice", 1).with_epsilon(-1.0)))
+            .unwrap();
+        let (wakes, waker) = counting_waker();
+        refused.set_waker(&waker);
+        assert_eq!(wakes.count(), 1);
+        assert!(refused.wait().is_err());
+        // Answered by a worker before the waker was registered.
+        let served =
+            server.submit_envelope(RequestEnvelope::single(toy_request("alice", 2))).unwrap();
+        let started = Instant::now();
+        while server.health().inflight > 0 {
+            assert!(started.elapsed().as_secs() < 30, "the release never finished");
+            std::thread::yield_now();
+        }
+        let (wakes, waker) = counting_waker();
+        served.set_waker(&waker);
+        assert_eq!(wakes.count(), 1);
+        assert!(served.wait().is_ok());
     }
 }

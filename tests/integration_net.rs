@@ -9,7 +9,7 @@
 
 #![cfg(target_os = "linux")]
 
-use pcor::faults::{site, FaultKind, FaultPlan};
+use pcor::faults::{site, FaultKind, FaultPlan, Faults};
 use pcor::net::{http_get, NetClient, NetConfig, NetFront};
 use pcor::prelude::*;
 use pcor::service::{find_serviceable_outlier, ResponseBody, WireReply};
@@ -22,6 +22,16 @@ fn salary_server(
     workers: usize,
     queue: usize,
 ) -> (Arc<Server>, Arc<BudgetLedger>, Vec<usize>) {
+    salary_server_with_faults(grant, workers, queue, Faults::disabled())
+}
+
+/// [`salary_server`] with a fault plan at the serving seams.
+fn salary_server_with_faults(
+    grant: f64,
+    workers: usize,
+    queue: usize,
+    faults: Faults,
+) -> (Arc<Server>, Arc<BudgetLedger>, Vec<usize>) {
     let registry = Arc::new(DatasetRegistry::new());
     let dataset = salary_dataset(&SalaryConfig::reduced().with_records(1_500)).unwrap();
     let entry = registry.register("salary", dataset);
@@ -31,7 +41,10 @@ fn salary_server(
     assert!(!records.is_empty(), "the synthetic workload plants outliers");
     let ledger = Arc::new(BudgetLedger::new(grant));
     let server = Arc::new(Server::start(
-        ServerConfig::default().with_workers(workers).with_queue_capacity(queue),
+        ServerConfig::default()
+            .with_workers(workers)
+            .with_queue_capacity(queue)
+            .with_faults(faults),
         registry,
         Arc::clone(&ledger),
     ));
@@ -189,8 +202,13 @@ fn batch_items_stream_over_the_wire_before_the_summary() {
 #[test]
 fn admission_refusals_come_back_as_retryable_wire_errors() {
     // workers=1, queue=1: once the slow batch is admitted, the very next
-    // envelope must be refused with a framed, retryable error.
-    let (server, ledger, records) = salary_server(100.0, 1, 1);
+    // envelope must be refused with a framed, retryable error. Injected
+    // latency at the service seam holds the batch's worker, so the batch
+    // is still in flight when the probe arrives however fast it computes.
+    let faults = FaultPlan::scripted(vec![])
+        .at(site::SERVICE_RELEASE, 1, FaultKind::Latency(Duration::from_secs(1)))
+        .build();
+    let (server, ledger, records) = salary_server_with_faults(100.0, 1, 1, faults);
     let front = NetFront::bind(NetConfig::default(), Arc::clone(&server)).unwrap();
 
     let mut slow = NetClient::connect(front.rpc_addr()).unwrap();
@@ -479,6 +497,73 @@ fn deeply_nested_json_is_answered_invalid_request_and_the_front_keeps_serving() 
     assert!(matches!(replies.last(), Some(WireReply::Response(_))), "{replies:?}");
     wait_for_drain(&server);
     assert!((ledger.spent("alice", "salary") - 0.2).abs() < 1e-9);
+    assert_no_budget_leak(&server, &ledger);
+    front.shutdown();
+}
+
+/// A ~1 MiB frame whose one huge string field makes it a malformed
+/// envelope is answered `invalid-request` within 2 s: the JSON string
+/// scan is linear, so parsing it on the reactor thread stalls no
+/// connection. The reactor's loop-busy histogram, scraped over HTTP,
+/// confirms that no iteration took that long.
+#[test]
+fn a_megabyte_string_field_is_answered_promptly_and_the_front_keeps_serving() {
+    let (server, ledger, records) = salary_server(10.0, 1, 64);
+    let front = NetFront::bind(NetConfig::default(), Arc::clone(&server)).unwrap();
+    let mut client = NetClient::connect(front.rpc_addr()).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+
+    let pad = "x".repeat(pcor::service::MAX_FRAME_LEN - 64);
+    let started = Instant::now();
+    client
+        .send_bytes(&pcor::service::frame_bytes(&format!("{{\"v\":2,\"pad\":\"{pad}\"}}")))
+        .unwrap();
+    let reply = client.recv().expect("the reply must arrive within 2 s");
+    assert!(started.elapsed() < Duration::from_secs(2), "answered after {:?}", started.elapsed());
+    let WireReply::Error(error) = reply else {
+        panic!("a malformed envelope must be answered with an error, got {reply:?}");
+    };
+    assert_eq!(error.kind, "invalid-request", "{error:?}");
+
+    let mut other = NetClient::connect(front.rpc_addr()).unwrap();
+    other.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let replies = other.call(&single("alice", records[0], 0.2, 5)).unwrap();
+    assert!(matches!(replies.last(), Some(WireReply::Response(_))), "{replies:?}");
+
+    let busy = server.telemetry().registry().histogram("pcor_net_loop_busy_nanos", &[]);
+    assert!(busy.count() > 0, "the reactor records every loop iteration");
+    assert!(busy.quantile(1.0) < 2_000_000_000, "a loop iteration took {} ns", busy.quantile(1.0));
+    let (status, body) = http_get(front.http_addr().unwrap(), "/metrics").unwrap();
+    assert_eq!(status, 200);
+    assert!(body.contains("# TYPE pcor_net_loop_busy_nanos histogram"), "{body}");
+    wait_for_drain(&server);
+    assert!((ledger.spent("alice", "salary") - 0.2).abs() < 1e-9);
+    assert_no_budget_leak(&server, &ledger);
+    front.shutdown();
+}
+
+/// Completions wake the reactor: 200 sequential singles on one connection
+/// are each answered in under 100 ms. Nothing polls for completions, so a
+/// lost wakeup would leave its reply unpumped until the peer sent more
+/// bytes, which this client never does while it waits.
+#[test]
+fn sequential_singles_are_each_answered_without_waiting_for_a_poll() {
+    let (server, ledger, records) = salary_server(1_000.0, 1, 64);
+    let front = NetFront::bind(NetConfig::default(), Arc::clone(&server)).unwrap();
+    let mut client = NetClient::connect(front.rpc_addr()).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    // Warm the starting-context cache so every timed release is cheap.
+    client.call(&single("alice", records[0], 0.01, 0)).unwrap();
+    let mut slowest = Duration::ZERO;
+    for seed in 1..=200 {
+        let started = Instant::now();
+        let replies = client.call(&single("alice", records[0], 0.01, seed)).unwrap();
+        slowest = slowest.max(started.elapsed());
+        assert!(matches!(replies.last(), Some(WireReply::Response(_))), "{replies:?}");
+    }
+    assert!(slowest < Duration::from_millis(100), "the slowest single took {slowest:?}");
+    wait_for_drain(&server);
+    assert!((ledger.spent("alice", "salary") - 2.01).abs() < 1e-9);
     assert_no_budget_leak(&server, &ledger);
     front.shutdown();
 }
