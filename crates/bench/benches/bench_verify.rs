@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pcor_data::generator::{salary_dataset, SalaryConfig};
-use pcor_data::{Context, PopulationCursor, ShardPolicy};
+use pcor_data::{Context, PopulationCursor};
 use pcor_dp::PopulationSizeUtility;
 use pcor_outlier::ZScoreDetector;
 use rand::{Rng, SeedableRng};
@@ -37,8 +37,7 @@ fn bench_population_engines(c: &mut Criterion) {
         });
 
         group.bench_with_input(BenchmarkId::new("cursor_serial", records), &records, |b, _| {
-            let mut cursor =
-                PopulationCursor::with_policy(&dataset, &start, ShardPolicy::serial()).unwrap();
+            let mut cursor = PopulationCursor::new(&dataset, &start).unwrap();
             let mut i = 0usize;
             b.iter(|| {
                 cursor.flip(flips[i % flips.len()]);

@@ -13,7 +13,6 @@
 //! | [`service_throughput`] | (beyond the paper) `pcor-service` throughput vs. worker count |
 //! | [`batch`] | (beyond the paper) batched releases vs. equivalent singles |
 //! | [`verify_hotpath`] | (beyond the paper) `f_M` evaluation engines: from-scratch vs. incremental |
-//! | [`pool_breakeven`] | (beyond the paper) pool-sharded pass break-even vs. serial |
 //! | [`mechanisms`] | (beyond the paper) DP selection mechanisms at equal ε: Exponential vs permute-and-flip vs report-noisy-max |
 //! | [`wal`] | (beyond the paper) WAL durability: append throughput per fsync policy, replay vs checkpointed replay |
 //! | [`net`] | (beyond the paper) `pcor-net` reactor: frames/sec, p99 round trip and shed rate vs connections × in-flight |
@@ -26,7 +25,6 @@ pub mod epsilon_sweep;
 pub mod mechanisms;
 pub mod net;
 pub mod overlap;
-pub mod pool_breakeven;
 pub mod ratio_check;
 pub mod samples_sweep;
 pub mod sampling;
@@ -114,12 +112,9 @@ pub enum ExperimentId {
     ServiceThroughput,
     /// Batched releases vs. equivalent single requests (beyond the paper).
     BatchVsSingles,
-    /// `f_M` verification engines: from-scratch vs. incremental/sharded
+    /// `f_M` verification engines: from-scratch vs. incremental
     /// (beyond the paper).
     VerifyHotpath,
-    /// Pool-sharded pass break-even against the serial pass across dataset
-    /// sizes (beyond the paper).
-    PoolBreakeven,
     /// DP selection mechanisms at equal ε: Exponential vs permute-and-flip
     /// vs report-noisy-max (beyond the paper).
     Mechanisms,
@@ -147,7 +142,6 @@ impl ExperimentId {
             ExperimentId::ServiceThroughput,
             ExperimentId::BatchVsSingles,
             ExperimentId::VerifyHotpath,
-            ExperimentId::PoolBreakeven,
             ExperimentId::Mechanisms,
             ExperimentId::Wal,
             ExperimentId::Net,
@@ -170,7 +164,6 @@ impl ExperimentId {
             "service" | "throughput" => vec![ExperimentId::ServiceThroughput],
             "batch" | "batch-vs-singles" => vec![ExperimentId::BatchVsSingles],
             "verify" | "verify-hotpath" | "hotpath" => vec![ExperimentId::VerifyHotpath],
-            "pool" | "pool-breakeven" | "breakeven" => vec![ExperimentId::PoolBreakeven],
             "mechanisms" | "mechanism" => vec![ExperimentId::Mechanisms],
             "wal" | "durability" | "wal-replay" => vec![ExperimentId::Wal],
             "net" | "reactor" | "wire" => vec![ExperimentId::Net],
@@ -202,9 +195,6 @@ impl std::fmt::Display for ExperimentId {
             ExperimentId::BatchVsSingles => "batched releases vs equivalent singles (pcor-service)",
             ExperimentId::VerifyHotpath => {
                 "verify hot path: f_M evaluation engines (pcor-data/core)"
-            }
-            ExperimentId::PoolBreakeven => {
-                "pool break-even: spawn vs persistent-pool sharding (pcor-runtime/data)"
             }
             ExperimentId::Mechanisms => {
                 "selection mechanisms at equal eps: EM vs PF vs RNM (pcor-dp/core)"
@@ -238,7 +228,6 @@ pub fn run(id: ExperimentId, scale: &crate::ExperimentScale) -> crate::Result<Ex
         ExperimentId::ServiceThroughput => service_throughput::run(scale),
         ExperimentId::BatchVsSingles => batch::run(scale),
         ExperimentId::VerifyHotpath => verify_hotpath::run(scale),
-        ExperimentId::PoolBreakeven => pool_breakeven::run(scale),
         ExperimentId::Mechanisms => mechanisms::run(scale),
         ExperimentId::Wal => wal::run(scale),
         ExperimentId::Net => net::run(scale),
@@ -263,8 +252,6 @@ mod tests {
         assert_eq!(ExperimentId::parse("batch-vs-singles"), vec![ExperimentId::BatchVsSingles]);
         assert_eq!(ExperimentId::parse("verify"), vec![ExperimentId::VerifyHotpath]);
         assert_eq!(ExperimentId::parse("verify-hotpath"), vec![ExperimentId::VerifyHotpath]);
-        assert_eq!(ExperimentId::parse("pool"), vec![ExperimentId::PoolBreakeven]);
-        assert_eq!(ExperimentId::parse("pool-breakeven"), vec![ExperimentId::PoolBreakeven]);
         assert_eq!(ExperimentId::parse("mechanisms"), vec![ExperimentId::Mechanisms]);
         assert_eq!(ExperimentId::parse("mechanism"), vec![ExperimentId::Mechanisms]);
         assert_eq!(ExperimentId::parse("net"), vec![ExperimentId::Net]);

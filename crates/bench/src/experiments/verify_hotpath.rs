@@ -22,12 +22,7 @@
 //!   as centered sufficient statistics and updated from the XOR word-diff
 //!   of consecutive populations (Neumaier-compensated, with a scheduled
 //!   full refresh every [`PopulationCursor::MOMENT_REFRESH_INTERVAL`]
-//!   syncs), exactly as `pcor_core::Verifier` evaluates;
-//! * **incremental sharded (gated)** — the tracked-moments cursor under the
-//!   production pooled policy. Below the measured break-even
-//!   ([`ShardPolicy::POOLED_MIN_WORDS`]) the pass runs serial on the
-//!   dispatched kernel and the row stays allocation-free; sharding only
-//!   engages where it pays.
+//!   syncs), exactly as `pcor_core::Verifier` evaluates.
 //!
 //! The `words/call` column counts every 64-bit word an engine touches per
 //! evaluation (fused pass + moment maintenance) from the cursor's own
@@ -50,13 +45,11 @@ use crate::config::ExperimentScale;
 use crate::report::Table;
 use crate::{BenchError, Result};
 use pcor_data::kernel::{self, KernelKind};
-use pcor_data::{Context, Dataset, PopulationCursor, RecordBitmap, ShardPolicy};
+use pcor_data::{Context, Dataset, PopulationCursor, RecordBitmap};
 use pcor_dp::{PopulationSizeUtility, Utility};
 use pcor_outlier::{OutlierDetector, PopulationMoments, ZScoreDetector};
-use pcor_runtime::ThreadPool;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
-use std::sync::Arc;
 use std::time::Instant;
 
 use super::{ExperimentOutput, RunEnvironment};
@@ -277,12 +270,6 @@ pub fn run(scale: &ExperimentScale) -> Result<ExperimentOutput> {
     let flips: Vec<usize> =
         (0..STEPS).map(|_| free_bits[rng.random_range(0..free_bits.len())]).collect();
 
-    // The gated row uses the production pooled policy: persistent pool, one
-    // shard per worker, serial below the measured break-even. The pool is
-    // built outside the counted section — it is process state, not per-call
-    // cost.
-    let pool = Arc::new(ThreadPool::for_available_parallelism());
-
     let mut table = Table::new(
         format!(
             "Verify hot path: one f_M evaluation per single-bit flip \
@@ -295,12 +282,8 @@ pub fn run(scale: &ExperimentScale) -> Result<ExperimentOutput> {
     let mut digests: Vec<Digest> = Vec::new();
     let mut words_per_path: Vec<Option<u64>> = Vec::new();
     let mut baseline_rate = 0.0f64;
-    let paths: [&str; 4] = [
-        "from-scratch (seed)",
-        "incremental cursor (rescan)",
-        "incremental moments",
-        "incremental sharded (gated)",
-    ];
+    let paths: [&str; 3] =
+        ["from-scratch (seed)", "incremental cursor (rescan)", "incremental moments"];
     for (index, path) in paths.iter().enumerate() {
         let started = Instant::now();
         let (outcome, allocs) = alloc_probe::counted(|| -> Result<(Digest, Option<u64>)> {
@@ -319,8 +302,7 @@ pub fn run(scale: &ExperimentScale) -> Result<ExperimentOutput> {
                     }
                 }
                 1 => {
-                    let mut cursor =
-                        PopulationCursor::with_policy(&dataset, &start, ShardPolicy::serial())?;
+                    let mut cursor = PopulationCursor::new(&dataset, &start)?;
                     let mut moment_words = 0u64;
                     for &bit in &flips {
                         cursor.flip(bit);
@@ -338,12 +320,7 @@ pub fn run(scale: &ExperimentScale) -> Result<ExperimentOutput> {
                     words = Some(cursor.words_scanned() + moment_words);
                 }
                 _ => {
-                    let policy = if index == 2 {
-                        ShardPolicy::serial()
-                    } else {
-                        ShardPolicy::pooled(Arc::clone(&pool))
-                    };
-                    let mut cursor = PopulationCursor::with_policy(&dataset, &start, policy)?;
+                    let mut cursor = PopulationCursor::new(&dataset, &start)?;
                     cursor.track_moments(origin);
                     for &bit in &flips {
                         cursor.flip(bit);
@@ -442,7 +419,7 @@ mod tests {
         let output = run(&scale).expect("verify-hotpath experiment");
         assert_eq!(output.tables.len(), 2);
         let table = &output.tables[0];
-        assert_eq!(table.rows.len(), 4);
+        assert_eq!(table.rows.len(), 3);
         for row in &table.rows {
             assert_eq!(row.len(), 7);
             let rate: f64 = row[1].parse().unwrap();

@@ -53,6 +53,8 @@ pub fn run<R: Rng + ?Sized>(
     let mut visited: Vec<Context> = Vec::new();
 
     while visited.len() < config.samples && !frontier.is_empty() {
+        // Memoized steps never reach the verifier's fresh-call check.
+        verifier.check_cancelled()?;
         // Draw the next vertex to expand from the frontier.
         let mut scores = Vec::with_capacity(frontier.len());
         for candidate in &frontier {

@@ -12,8 +12,9 @@
 //! [`CancelToken`] is the signal: a cheaply clonable handle combining an
 //! explicit cancel flag with an optional deadline. The [`Verifier`] checks
 //! it before every *fresh* evaluation (cache hits are near-free and never
-//! blocked), so cancellation latency is bounded by one verification call —
-//! exactly the granularity the cost model says matters.
+//! blocked), and every release algorithm checks it once per search step, so
+//! cancellation latency is bounded by one verification call or one step of
+//! memoized replays — exactly the granularity the cost model says matters.
 //!
 //! [`Verifier`]: crate::Verifier
 

@@ -7,9 +7,8 @@
 //! utility of the PCOR's output to the maximum utility", Section 6.2). On the
 //! authors' 51 k-record dataset this took three days; here the enumeration is
 //! restricted to the `2^(t−m)` contexts that actually cover `V` and walked
-//! in Gray-code order on an incremental cursor (fork-join on a resident
-//! pool when one is given), which makes the reduced-scale workloads
-//! (t ≤ 22) enumerable in seconds.
+//! in Gray-code order on an incremental cursor, which makes the
+//! reduced-scale workloads (t ≤ 22) enumerable in seconds.
 
 use crate::{PcorError, Result};
 use pcor_data::{Context, Dataset};
@@ -140,8 +139,9 @@ impl CoveringSpace {
         })
     }
 
-    /// The shared postamble: sorts `entries` into a deterministic order
-    /// independent of scheduling and records the maximum utility.
+    /// The shared postamble: sorts `entries` into one canonical order (so
+    /// every enumeration of a record yields the same file) and records the
+    /// maximum utility.
     fn into_reference(self, outlier_id: usize, mut entries: Vec<ReferenceEntry>) -> ReferenceFile {
         entries.sort_by(|a, b| a.context.cmp(&b.context));
         let max_utility = entries.iter().map(|e| e.utility).fold(f64::NEG_INFINITY, f64::max);
@@ -154,37 +154,26 @@ impl CoveringSpace {
     }
 }
 
-/// Enumerates the Gray-code range `[lo, hi)` of `space` on one incremental
-/// cursor, collecting the matching entries.
+/// Enumerates every context of `space` on one incremental cursor,
+/// collecting the matching entries.
 ///
 /// The binary-reflected Gray code visits every subset of the free bits
 /// exactly once while consecutive steps differ in a single bit, so each step
 /// costs one cursor flip plus one fused AND/popcount pass — no per-context
-/// allocation. The serial enumeration walks the whole range; the pooled one
-/// gives each task a disjoint range.
-fn enumerate_gray_range(
+/// allocation.
+fn enumerate_gray_code(
     dataset: &Dataset,
     outlier_id: usize,
     detector: &dyn OutlierDetector,
     utility: &dyn Utility,
     space: &CoveringSpace,
-    lo: u64,
-    hi: u64,
 ) -> Result<Vec<ReferenceEntry>> {
-    // Position the start of the range: the Gray code of `lo`.
-    let mut start = space.minimal.clone();
-    let gray = lo ^ (lo >> 1);
-    for (i, &bit) in space.free_bits.iter().enumerate() {
-        if (gray >> i) & 1 == 1 {
-            start.set(bit, true);
-        }
-    }
-    let mut cursor = pcor_data::PopulationCursor::new(dataset, &start)?;
+    let mut cursor = pcor_data::PopulationCursor::new(dataset, &space.minimal)?;
     let use_moments = detector.supports_moments();
     let mut metrics: Vec<f64> = Vec::new();
     let mut entries: Vec<ReferenceEntry> = Vec::new();
-    for step in lo..hi {
-        if step > lo {
+    for step in 0..space.total {
+        if step > 0 {
             // gray(step) differs from gray(step - 1) in bit trailing_zeros(step).
             cursor.flip(space.free_bits[step.trailing_zeros() as usize]);
         }
@@ -215,7 +204,7 @@ fn enumerate_gray_range(
 /// the verifier's `f_M` cache: contexts already evaluated by earlier
 /// releases or searches cost nothing, and everything this enumeration
 /// evaluates stays memoized for later releases. This is the variant
-/// [`crate::ReleaseSession::reference`] uses for small spaces.
+/// [`crate::ReleaseSession::reference`] uses.
 ///
 /// # Errors
 /// * [`PcorError::TooManyAttributeValues`] when `t` exceeds `limit` or the
@@ -249,57 +238,11 @@ pub fn enumerate_coe_with(
     Ok(space.into_reference(verifier.outlier_id(), entries))
 }
 
-/// Enumerates `COE_M(D, V)` on a resident [`pcor_runtime::ThreadPool`]:
-/// the Gray-code mask range is split into one chunk per pool worker and the
-/// chunks run as fork-join tasks on the pool (the calling thread helps
-/// execute), each on its own incremental cursor.
-///
-/// Results are identical to [`enumerate_coe`] — same entries, same
-/// deterministic order — the difference is purely *where* the work runs.
-/// This is the variant [`crate::ReleaseSession::reference`] picks when the
-/// session borrows a pool and the space is large enough to split.
-///
-/// # Errors
-/// * [`PcorError::TooManyAttributeValues`] when `t` exceeds `limit` or the
-///   space has `2^64` or more contexts;
-/// * [`PcorError::InvalidConfig`] for out-of-range ids;
-/// * data-layer errors otherwise.
-pub fn enumerate_coe_on(
-    pool: &pcor_runtime::ThreadPool,
-    dataset: &Dataset,
-    outlier_id: usize,
-    detector: &dyn OutlierDetector,
-    utility: &dyn Utility,
-    limit: usize,
-) -> Result<ReferenceFile> {
-    let space = CoveringSpace::of_record(dataset, outlier_id, limit)?;
-    let total = space.total;
-    let chunk = total.div_ceil(pool.workers().max(1) as u64);
-    let mut results: Vec<Result<Vec<ReferenceEntry>>> =
-        (0..total.div_ceil(chunk)).map(|_| Ok(Vec::new())).collect();
-    pool.scope(|scope| {
-        for (worker, slot) in results.iter_mut().enumerate() {
-            let lo = worker as u64 * chunk;
-            let hi = (lo + chunk).min(total);
-            let space = &space;
-            scope.spawn(move || {
-                *slot = enumerate_gray_range(dataset, outlier_id, detector, utility, space, lo, hi);
-            });
-        }
-    });
-    let mut entries: Vec<ReferenceEntry> = Vec::new();
-    for result in results {
-        entries.extend(result?);
-    }
-    Ok(space.into_reference(outlier_id, entries))
-}
-
 /// Enumerates `COE_M(D, V)`: every matching context of record `outlier_id`,
 /// with utilities, producing the reference file.
 ///
-/// Only the `2^(t−m)` contexts covering the record are examined, serially
-/// on the calling thread; [`enumerate_coe_on`] computes the same file on a
-/// resident pool.
+/// Only the `2^(t−m)` contexts covering the record are examined, on the
+/// calling thread.
 ///
 /// # Errors
 /// * [`PcorError::TooManyAttributeValues`] when `t` exceeds `limit` or the
@@ -314,8 +257,7 @@ pub fn enumerate_coe(
     limit: usize,
 ) -> Result<ReferenceFile> {
     let space = CoveringSpace::of_record(dataset, outlier_id, limit)?;
-    let entries =
-        enumerate_gray_range(dataset, outlier_id, detector, utility, &space, 0, space.total)?;
+    let entries = enumerate_gray_code(dataset, outlier_id, detector, utility, &space)?;
     Ok(space.into_reference(outlier_id, entries))
 }
 
@@ -406,29 +348,9 @@ mod tests {
     }
 
     #[test]
-    fn pool_enumeration_matches_serial_and_spawned() {
-        let dataset = dataset();
-        let detector = ZScoreDetector::new(2.5);
-        let utility = PopulationSizeUtility;
-        let pool = pcor_runtime::ThreadPool::new(2);
-        let via_pool = enumerate_coe_on(&pool, &dataset, 0, &detector, &utility, 22).unwrap();
-        let serial = enumerate_coe(&dataset, 0, &detector, &utility, 22).unwrap();
-        assert_eq!(via_pool, serial, "pool and serial enumeration must be identical");
-        assert!(pool.stats().tasks_submitted > 0, "the enumeration must run on the pool");
-        // Error paths mirror enumerate_coe.
-        assert!(matches!(
-            enumerate_coe_on(&pool, &dataset, 0, &detector, &utility, 3),
-            Err(PcorError::TooManyAttributeValues { .. })
-        ));
-        assert!(matches!(
-            enumerate_coe_on(&pool, &dataset, 1_000, &detector, &utility, 22),
-            Err(PcorError::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
     fn parallel_and_serial_enumeration_agree() {
-        // A space of 2^12 = 4096 contexts, split across a pool.
+        // A space of 2^12 = 4096 contexts: the cursor walk and the
+        // memoized walk on a verifier yield the same file.
         let schema = Schema::new(
             vec![
                 Attribute::from_values("A", &["a0", "a1", "a2", "a3", "a4"]),
@@ -448,61 +370,15 @@ mod tests {
         let dataset = Dataset::new(schema, records).unwrap();
         let detector = ZScoreDetector::new(2.0);
         let utility = PopulationSizeUtility;
-        let pool = pcor_runtime::ThreadPool::new(4);
-        let reference = enumerate_coe_on(&pool, &dataset, 0, &detector, &utility, 22).unwrap();
+        let reference = enumerate_coe(&dataset, 0, &detector, &utility, 22).unwrap();
         assert_eq!(reference.contexts_examined, 4096);
-        assert_eq!(reference, enumerate_coe(&dataset, 0, &detector, &utility, 22).unwrap());
+        let mut memoized = crate::verify::Verifier::new(&dataset, &detector, &utility, 0);
+        assert_eq!(reference, enumerate_coe_with(&mut memoized, 22).unwrap());
         // Verify against the memoized verifier for a sample of entries.
         let mut verifier = crate::verify::Verifier::new(&dataset, &detector, &utility, 0);
         for entry in reference.entries.iter().take(50) {
             assert!(verifier.is_matching(&entry.context).unwrap());
             assert_eq!(verifier.evaluate(&entry.context).unwrap().utility, entry.utility);
-        }
-    }
-
-    #[test]
-    fn pooled_enumeration_equals_serial_on_random_schemas_and_pool_sizes() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(17);
-        let pools: Vec<pcor_runtime::ThreadPool> =
-            (1..=4).map(pcor_runtime::ThreadPool::new).collect();
-        for case in 0..24 {
-            // 2–4 attributes of 2–4 values: up to 2^12 covering contexts, so
-            // a 3-worker pool splits a power-of-two space unevenly.
-            let attributes: Vec<Attribute> = (0..rng.random_range(2..=4usize))
-                .map(|i| {
-                    let size = rng.random_range(2..=4usize);
-                    Attribute::new(format!("A{i}"), (0..size).map(|v| format!("v{v}")).collect())
-                        .unwrap()
-                })
-                .collect();
-            let schema = Schema::new(attributes, "M").unwrap();
-            let records: Vec<Record> = (0..rng.random_range(20..120usize))
-                .map(|id| {
-                    let values = (0..schema.num_attributes())
-                        .map(|attr| {
-                            rng.random_range(0..schema.attribute(attr).domain_size()) as u16
-                        })
-                        .collect();
-                    // Record 0 stands out so most cases have matching contexts.
-                    let metric = if id == 0 { 5_000.0 } else { rng.random_range(90.0..110.0) };
-                    Record::new(values, metric)
-                })
-                .collect();
-            let dataset = Dataset::new(schema, records).unwrap();
-            let detector = ZScoreDetector::new(2.0);
-            let utility = PopulationSizeUtility;
-            let serial = enumerate_coe(&dataset, 0, &detector, &utility, 22).unwrap();
-            for pool in &pools {
-                let pooled = enumerate_coe_on(pool, &dataset, 0, &detector, &utility, 22).unwrap();
-                let workers = pool.workers();
-                assert_eq!(pooled.entries, serial.entries, "case {case}, {workers} workers");
-                assert_eq!(
-                    pooled.max_utility, serial.max_utility,
-                    "case {case}, {workers} workers"
-                );
-                assert_eq!(pooled.contexts_examined, serial.contexts_examined);
-            }
         }
     }
 
@@ -522,8 +398,6 @@ mod tests {
             matches!(result, Err(PcorError::TooManyAttributeValues { t: 140, limit: 133 }))
         };
         assert!(refused(enumerate_coe(&dataset, 0, &detector, &utility, 1_000)));
-        let pool = pcor_runtime::ThreadPool::new(2);
-        assert!(refused(enumerate_coe_on(&pool, &dataset, 0, &detector, &utility, 1_000)));
         let mut verifier = crate::verify::Verifier::new(&dataset, &detector, &utility, 0);
         assert!(refused(enumerate_coe_with(&mut verifier, 1_000)));
         let config = crate::PcorConfig::new(crate::SamplingAlgorithm::Direct, 0.2)

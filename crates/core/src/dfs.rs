@@ -51,6 +51,8 @@ pub fn run<R: Rng + ?Sized>(
     let mut visited: Vec<Context> = Vec::new();
 
     while visited.len() < config.samples && !stack.is_empty() {
+        // Memoized steps never reach the verifier's fresh-call check.
+        verifier.check_cancelled()?;
         let current = stack.last().expect("stack checked non-empty").clone();
         if visited_set.insert(current.clone()) {
             visited.push(current.clone());

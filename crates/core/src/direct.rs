@@ -43,6 +43,8 @@ pub fn run<R: Rng + ?Sized>(
     // cover V) and keep the matching ones.
     let mut matching: Vec<Context> = Vec::new();
     for mask in 0..space.total {
+        // Memoized steps never reach the verifier's fresh-call check.
+        verifier.check_cancelled()?;
         let mut context = space.minimal.clone();
         for (i, &bit) in space.free_bits.iter().enumerate() {
             if (mask >> i) & 1 == 1 {

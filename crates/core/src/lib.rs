@@ -93,7 +93,7 @@ pub mod uniform;
 pub mod verify;
 
 pub use cancel::CancelToken;
-pub use coe::{enumerate_coe, enumerate_coe_on, enumerate_coe_with, ReferenceEntry, ReferenceFile};
+pub use coe::{enumerate_coe, enumerate_coe_with, ReferenceEntry, ReferenceFile};
 pub use pcor_dp::{MechanismKind, MechanismTally, SelectionMechanism};
 pub use runner::find_random_outlier;
 pub use session::{ReleaseSession, ReleaseSessionBuilder, ReleaseSpec, SeedPolicy, SessionStats};

@@ -40,6 +40,8 @@ pub fn run<R: Rng + ?Sized>(
     let mut samples: Vec<Context> = vec![start.clone()];
     let mut current = start;
     'walk: while samples.len() < config.samples {
+        // Memoized steps never reach the verifier's fresh-call check.
+        verifier.check_cancelled()?;
         // Try the t connected contexts in random order, without replacement.
         let mut bits: Vec<usize> = (0..t).collect();
         bits.shuffle(rng);

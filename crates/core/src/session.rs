@@ -46,26 +46,19 @@
 //! ```
 
 use crate::cancel::CancelToken;
-use crate::coe::{enumerate_coe_on, enumerate_coe_with, CoveringSpace, ReferenceFile};
+use crate::coe::{enumerate_coe_with, ReferenceFile};
 use crate::runner::OutlierQuery;
 use crate::starting::{find_starting_context, DEFAULT_SEARCH_BUDGET};
 use crate::verify::Verifier;
 use crate::{PcorError, PcorResult, Result, SamplingAlgorithm};
-use pcor_data::{Context, Dataset, KernelKind, ShardPolicy};
+use pcor_data::{Context, Dataset, KernelKind};
 use pcor_dp::{MechanismKind, MechanismTally, Utility};
 use pcor_outlier::OutlierDetector;
-use pcor_runtime::ThreadPool;
 use pcor_telemetry::{SpanId, Telemetry, TraceId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::Arc;
-
-/// Reference-file spaces at or beyond this many contexts enumerate on the
-/// session's pool (when one is attached); smaller spaces stay on the
-/// memoized serial path, whose cache reuse outweighs parallelism.
-const POOLED_REFERENCE_MIN_CONTEXTS: u64 = 4_096;
 
 /// Per-candidate starting-context search budget used by
 /// [`ReleaseSession::find_outliers`] (matches the historical behavior of
@@ -227,7 +220,6 @@ pub struct ReleaseSessionBuilder<'a> {
     utility: &'a dyn Utility,
     seed_policy: SeedPolicy,
     search_budget: usize,
-    pool: Option<Arc<ThreadPool>>,
     mechanism: MechanismKind,
     trace: Option<TraceContext>,
     cancel: Option<CancelToken>,
@@ -268,29 +260,6 @@ impl<'a> ReleaseSessionBuilder<'a> {
         self
     }
 
-    /// Lends the session a resident [`ThreadPool`], the only executor its
-    /// parallel work runs on (a session without one runs everything on the
-    /// calling thread):
-    ///
-    /// * every verifier's fused AND/popcount pass shards on the pool via
-    ///   [`ShardPolicy::pooled`] (engaging from
-    ///   [`ShardPolicy::POOLED_MIN_WORDS`] words), which covers the
-    ///   batched neighbor evaluation of the graph searches;
-    /// * large reference-file enumerations run fork-join on the pool
-    ///   ([`enumerate_coe_on`]).
-    ///
-    /// Like the verifier cache, the pool amortizes *computation only* —
-    /// results are bit-identical to the serial engine, so the released
-    /// distribution and the OCDP accounting are unchanged. One trade-off:
-    /// a pool-parallel reference enumeration runs on scratch cursors, so
-    /// its evaluations are counted in [`SessionStats`] but do not feed the
-    /// record's memo cache (the serial path does both).
-    #[must_use]
-    pub fn pool(mut self, pool: Arc<ThreadPool>) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
     /// Attaches a telemetry bundle and the caller's trace position. Every
     /// release the session runs then opens a `session.release` span (with a
     /// `session.verify` child around the search itself) parented to
@@ -327,14 +296,12 @@ impl<'a> ReleaseSessionBuilder<'a> {
             utility: self.utility,
             seed_policy: self.seed_policy,
             search_budget: self.search_budget,
-            pool: self.pool,
             mechanism: self.mechanism,
             trace: self.trace,
             cancel: self.cancel,
             verifiers: HashMap::new(),
             starting_contexts: HashMap::new(),
             references: HashMap::new(),
-            pooled_reference_calls: 0,
             releases: 0,
             draws: 0,
             mechanism_releases: MechanismTally::default(),
@@ -349,9 +316,7 @@ pub struct SessionStats {
     pub records_bound: usize,
     /// Successful releases served by the session.
     pub releases: u64,
-    /// Total uncached `f_M` verification calls across all verifiers, plus
-    /// the evaluations of any pool-parallel reference enumerations (those
-    /// run on scratch cursors, every context fresh).
+    /// Total uncached `f_M` verification calls across all verifiers.
     pub verification_calls: usize,
     /// Total evaluation requests across all verifiers (cache hits included).
     pub cache_lookups: usize,
@@ -399,18 +364,12 @@ pub struct ReleaseSession<'a> {
     utility: &'a dyn Utility,
     seed_policy: SeedPolicy,
     search_budget: usize,
-    pool: Option<Arc<ThreadPool>>,
     mechanism: MechanismKind,
     trace: Option<TraceContext>,
     cancel: Option<CancelToken>,
     verifiers: HashMap<usize, Verifier<'a>>,
     starting_contexts: HashMap<usize, Context>,
     references: HashMap<usize, ReferenceFile>,
-    /// Fresh `f_M` evaluations performed by pool-parallel reference
-    /// enumerations (which run on scratch cursors outside the per-record
-    /// verifiers, so their work must be counted separately to keep
-    /// [`SessionStats::verification_calls`] complete).
-    pooled_reference_calls: usize,
     releases: u64,
     draws: u64,
     mechanism_releases: MechanismTally,
@@ -430,7 +389,6 @@ impl<'a> ReleaseSession<'a> {
             utility,
             seed_policy: SeedPolicy::default(),
             search_budget: DEFAULT_SEARCH_BUDGET,
-            pool: None,
             mechanism: MechanismKind::default(),
             trace: None,
             cancel: None,
@@ -441,11 +399,6 @@ impl<'a> ReleaseSession<'a> {
     /// leave [`ReleaseSpec::mechanism`] unset).
     pub fn mechanism(&self) -> MechanismKind {
         self.mechanism
-    }
-
-    /// The resident pool the session runs parallel work on, if any.
-    pub fn pool(&self) -> Option<&Arc<ThreadPool>> {
-        self.pool.as_ref()
     }
 
     /// The dataset the session is bound to.
@@ -473,8 +426,7 @@ impl<'a> ReleaseSession<'a> {
         SessionStats {
             records_bound: self.verifiers.len(),
             releases: self.releases,
-            verification_calls: self.verifiers.values().map(Verifier::calls).sum::<usize>()
-                + self.pooled_reference_calls,
+            verification_calls: self.verifiers.values().map(Verifier::calls).sum(),
             cache_lookups: self.verifiers.values().map(Verifier::lookups).sum(),
             cache_hits: self.verifiers.values().map(Verifier::cache_hits).sum(),
             cached_contexts: self.verifiers.values().map(Verifier::distinct_contexts).sum(),
@@ -492,22 +444,9 @@ impl<'a> ReleaseSession<'a> {
 
     fn verifier(&mut self, record_id: usize) -> &mut Verifier<'a> {
         let (dataset, detector, utility) = (self.dataset, self.detector, self.utility);
-        let pool = self.pool.as_ref();
         let cancel = self.cancel.as_ref();
         self.verifiers.entry(record_id).or_insert_with(|| {
-            let mut verifier = match pool {
-                // With a pool attached, the verifier's fused passes shard on
-                // resident workers (pool-sized, lower break-even). Results
-                // are bit-identical either way.
-                Some(pool) => Verifier::with_shard_policy(
-                    dataset,
-                    detector,
-                    utility,
-                    record_id,
-                    ShardPolicy::pooled(Arc::clone(pool)),
-                ),
-                None => Verifier::new(dataset, detector, utility, record_id),
-            };
+            let mut verifier = Verifier::new(dataset, detector, utility, record_id);
             if let Some(token) = cancel {
                 verifier.set_cancel_token(token.clone());
             }
@@ -729,15 +668,8 @@ impl<'a> ReleaseSession<'a> {
     }
 
     /// The reference file (`COE_M` enumeration) of `record_id`, cached for
-    /// the session's lifetime.
-    ///
-    /// Small spaces enumerate serially on the record's memoized verifier
-    /// (reusing — and feeding — its `f_M` cache). When the session
-    /// [borrows a pool](ReleaseSessionBuilder::pool) with more than one
-    /// worker and the space holds at least 4 096 contexts, the enumeration
-    /// instead runs fork-join on the resident workers
-    /// ([`enumerate_coe_on`]), one Gray-code range per worker; the result
-    /// is identical.
+    /// the session's lifetime. The enumeration runs on the record's
+    /// memoized verifier, reusing — and feeding — its `f_M` cache.
     ///
     /// # Errors
     /// * [`PcorError::TooManyAttributeValues`] when `t` exceeds `limit`;
@@ -750,42 +682,10 @@ impl<'a> ReleaseSession<'a> {
             )));
         }
         if !self.references.contains_key(&record_id) {
-            let reference = match self.pooled_reference_plan(record_id, limit) {
-                Some(pool) => {
-                    let reference = enumerate_coe_on(
-                        &pool,
-                        self.dataset,
-                        record_id,
-                        self.detector,
-                        self.utility,
-                        limit,
-                    )?;
-                    // The pooled enumeration ran on scratch cursors, one
-                    // fresh evaluation per examined context; keep the
-                    // session's verification accounting complete (the
-                    // memoized serial path counts through the verifier).
-                    self.pooled_reference_calls += reference.contexts_examined;
-                    reference
-                }
-                None => enumerate_coe_with(self.verifier(record_id), limit)?,
-            };
+            let reference = enumerate_coe_with(self.verifier(record_id), limit)?;
             self.references.insert(record_id, reference);
         }
         Ok(&self.references[&record_id])
-    }
-
-    /// Decides whether `reference` should enumerate on the session's pool:
-    /// requires an attached pool with parallelism and a space of at least
-    /// `POOLED_REFERENCE_MIN_CONTEXTS` contexts (below that, the serial
-    /// memoized walk wins through cache reuse).
-    fn pooled_reference_plan(&self, record_id: usize, limit: usize) -> Option<Arc<ThreadPool>> {
-        let pool = self.pool.as_ref().filter(|pool| pool.workers() > 1)?;
-        let t = self.dataset.schema().total_values();
-        // A space the enumeration refuses stays on the serial path, whose
-        // entry point raises the canonical error.
-        let space =
-            CoveringSpace::new(t, limit, || Ok(self.dataset.minimal_context(record_id)?)).ok()?;
-        (space.total >= POOLED_REFERENCE_MIN_CONTEXTS).then(|| Arc::clone(pool))
     }
 }
 
@@ -806,7 +706,6 @@ mod tests {
     use pcor_data::{Attribute, Record, Schema};
     use pcor_dp::PopulationSizeUtility;
     use pcor_outlier::ZScoreDetector;
-    use pcor_runtime::ThreadPool;
 
     fn dataset() -> Dataset {
         let schema = Schema::new(
@@ -1006,34 +905,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_sessions_release_identically_to_serial_sessions() {
-        let d = dataset();
-        let detector = ZScoreDetector::new(2.5);
-        let utility = PopulationSizeUtility;
-        let pool = Arc::new(ThreadPool::new(2));
-        let spec = ReleaseSpec::new(SamplingAlgorithm::Bfs, 0.2).with_samples(8);
-
-        let mut plain = ReleaseSession::builder(&d, &detector, &utility).build();
-        let mut pooled =
-            ReleaseSession::builder(&d, &detector, &utility).pool(Arc::clone(&pool)).build();
-        assert!(plain.pool().is_none());
-        assert!(pooled.pool().is_some());
-        let a = plain.release_with_seed(0, &spec, 77).unwrap();
-        let b = pooled.release_with_seed(0, &spec, 77).unwrap();
-        // The pool amortizes computation only: identical released context,
-        // utility and guarantee for the same seed.
-        assert_eq!(a.context, b.context);
-        assert_eq!(a.utility, b.utility);
-        assert_eq!(a.guarantee, b.guarantee);
-        assert_eq!(a.verification_calls, b.verification_calls);
-        // Reference files agree too (small space -> memoized serial path,
-        // exercised through the pooled session for coverage).
-        let via_pooled = pooled.reference(0, 22).unwrap().clone();
-        let via_plain = plain.reference(0, 22).unwrap();
-        assert_eq!(via_pooled.context_set(), via_plain.context_set());
-    }
-
-    #[test]
     fn specs_select_mechanisms_per_release_and_stats_tally_them() {
         let d = dataset();
         let detector = ZScoreDetector::new(2.5);
@@ -1119,6 +990,28 @@ mod tests {
             cached_calls,
             "a cancelled release must not run fresh verification work"
         );
+    }
+
+    #[test]
+    fn tripped_cancel_tokens_stop_fully_memoized_replays() {
+        // A replay whose every verdict is cached never makes a fresh `f_M`
+        // call, so only the per-step check can stop it.
+        let d = dataset();
+        let detector = ZScoreDetector::new(2.5);
+        let utility = PopulationSizeUtility;
+        for algorithm in SamplingAlgorithm::all() {
+            let token = CancelToken::new();
+            let mut session = ReleaseSession::builder(&d, &detector, &utility)
+                .cancel_token(token.clone())
+                .build();
+            let spec = ReleaseSpec::new(algorithm, 0.2).with_samples(8);
+            session.release_with_seed(0, &spec, 5).unwrap();
+            let warm_calls = session.stats().verification_calls;
+            token.cancel();
+            let outcome = session.release_with_seed(0, &spec, 5);
+            assert_eq!(outcome, Err(PcorError::Cancelled), "{algorithm:?}");
+            assert_eq!(session.stats().verification_calls, warm_calls, "{algorithm:?}");
+        }
     }
 
     #[test]

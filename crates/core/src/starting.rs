@@ -48,6 +48,8 @@ pub fn find_starting_context(verifier: &mut Verifier<'_>, budget: usize) -> Resu
 
     let mut examined = 1usize;
     while let Some(current) = queue.pop_front() {
+        // Memoized steps never reach the verifier's fresh-call check.
+        verifier.check_cancelled()?;
         for &bit in &free_bits {
             if current.get(bit) {
                 continue;

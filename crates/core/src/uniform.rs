@@ -36,6 +36,8 @@ pub fn run<R: Rng + ?Sized>(
     let mut attempts = 0usize;
     while samples.len() < config.samples && attempts < config.max_attempts {
         attempts += 1;
+        // Memoized draws never reach the verifier's fresh-call check.
+        verifier.check_cancelled()?;
         let candidate = graph.random_vertex(0.5, rng);
         if verifier.is_matching(&candidate)? {
             samples.push(candidate);

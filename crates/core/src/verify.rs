@@ -14,10 +14,8 @@
 //! * **Cursor-backed evaluation** — populations come from a
 //!   [`PopulationCursor`] that caches per-attribute union bitmaps; the search
 //!   algorithms move by single-bit context flips, so a fresh evaluation costs
-//!   one block update plus one fused AND/popcount pass (sharded on a
-//!   resident pool for large `n` when the cursor's [`ShardPolicy`] carries
-//!   one, serial otherwise) instead of the full per-attribute loop with two
-//!   bitmap allocations.
+//!   one block update plus one fused AND/popcount pass on the calling thread
+//!   instead of the full per-attribute loop with two bitmap allocations.
 //! * **Fingerprinted memo cache** — the cache is keyed by a 128-bit
 //!   XOR-decomposable fingerprint of the context's words, so hits hash a few
 //!   words and misses insert two `u64`s instead of cloning the context; the
@@ -35,7 +33,7 @@
 use crate::cancel::CancelToken;
 use crate::{PcorError, Result};
 use pcor_data::kernel::KernelKind;
-use pcor_data::{Context, Dataset, PopulationCursor, RecordBitmap, ShardPolicy};
+use pcor_data::{Context, Dataset, HaltFn, PopulationCursor, RecordBitmap};
 use pcor_dp::Utility;
 use pcor_outlier::{OutlierDetector, PopulationMoments};
 use std::collections::HashMap;
@@ -116,6 +114,12 @@ fn fp_key(parts: (u64, u64)) -> u128 {
     ((parts.0 as u128) << 64) | parts.1 as u128
 }
 
+/// Adapts a cancel token into the cursor's halt probe.
+fn halt_probe(token: &CancelToken) -> HaltFn {
+    let token = token.clone();
+    Arc::new(move || token.is_cancelled())
+}
+
 /// Runs `f_M` on an already-evaluated population: is `outlier_id` covered
 /// and flagged by the detector?
 ///
@@ -164,12 +168,14 @@ pub struct Verifier<'a> {
     cache: HashMap<u128, Evaluation>,
     cursor: Option<PopulationCursor<'a>>,
     metrics_buf: Vec<f64>,
-    policy: ShardPolicy,
+    /// The fused-pass kernel the cursor runs with.
+    kernel: KernelKind,
     /// Whether the detector decides from population moments (probed once at
     /// construction; `supports_moments` is constant per instance).
     use_moments: bool,
     /// Cooperative cancellation, checked before every fresh evaluation
-    /// (cache hits are never blocked). `None` means uncancellable.
+    /// (cache hits are never blocked) and once per search step by the
+    /// release algorithms. `None` means uncancellable.
     cancel: Option<CancelToken>,
     calls: usize,
     lookups: usize,
@@ -177,24 +183,26 @@ pub struct Verifier<'a> {
 
 impl<'a> Verifier<'a> {
     /// Creates a verifier for record `outlier_id` of `dataset` whose fused
-    /// passes run serially on the calling thread.
+    /// passes run with the process-wide dispatched kernel.
     pub fn new(
         dataset: &'a Dataset,
         detector: &'a dyn OutlierDetector,
         utility: &'a dyn Utility,
         outlier_id: usize,
     ) -> Self {
-        Self::with_shard_policy(dataset, detector, utility, outlier_id, ShardPolicy::serial())
+        let kernel = pcor_data::kernel::selected();
+        Self::with_kernel(dataset, detector, utility, outlier_id, kernel)
     }
 
-    /// Creates a verifier with an explicit [`ShardPolicy`] for the fused
-    /// AND/popcount pass of its population cursor.
-    pub fn with_shard_policy(
+    /// Creates a verifier whose population cursor runs an explicit
+    /// fused-pass kernel (see [`PopulationCursor::with_kernel`]), for
+    /// comparing kernels within one process.
+    pub fn with_kernel(
         dataset: &'a Dataset,
         detector: &'a dyn OutlierDetector,
         utility: &'a dyn Utility,
         outlier_id: usize,
-        policy: ShardPolicy,
+        kernel: KernelKind,
     ) -> Self {
         Verifier {
             dataset,
@@ -204,7 +212,7 @@ impl<'a> Verifier<'a> {
             cache: HashMap::new(),
             cursor: None,
             metrics_buf: Vec::new(),
-            policy,
+            kernel,
             use_moments: detector.supports_moments(),
             cancel: None,
             calls: 0,
@@ -215,20 +223,19 @@ impl<'a> Verifier<'a> {
     /// Attaches a cancellation token. Every subsequent *fresh* evaluation
     /// first checks it and fails with [`PcorError::Cancelled`] once the
     /// token trips; memoized answers keep flowing (they cost nothing and a
-    /// cancelled release's caller may still read cached state).
+    /// cancelled release's caller may still read cached state). The release
+    /// algorithms also check it once per search step, so a search made only
+    /// of memoized replays stops too.
     ///
-    /// The token is also installed as the shard-halt probe of the verifier's
+    /// The token is also installed as the halt probe of the verifier's
     /// population cursor, so cancellation preempts a fused `f_M` pass *in
-    /// flight* — shards bail at the next sub-chunk boundary instead of
+    /// flight* — the pass bails at the next sub-chunk boundary instead of
     /// finishing the scan — bounding cancellation latency to microseconds
     /// rather than one full verification call. An interrupted evaluation is
     /// discarded (never cached) and surfaces as [`PcorError::Cancelled`].
     pub fn set_cancel_token(&mut self, token: CancelToken) {
-        let probe = token.clone();
-        let halt: pcor_data::HaltFn = Arc::new(move || probe.is_cancelled());
-        self.policy.set_halt(Some(Arc::clone(&halt)));
         if let Some(cursor) = self.cursor.as_mut() {
-            cursor.set_halt(Some(halt));
+            cursor.set_halt(Some(halt_probe(&token)));
         }
         self.cancel = Some(token);
     }
@@ -239,8 +246,9 @@ impl<'a> Verifier<'a> {
     }
 
     /// Fails with [`PcorError::Cancelled`] when the attached token (if
-    /// any) has tripped.
-    fn check_cancelled(&self) -> Result<()> {
+    /// any) has tripped — the per-step checkpoint of the release
+    /// algorithms.
+    pub(crate) fn check_cancelled(&self) -> Result<()> {
         match &self.cancel {
             Some(token) => token.check(),
             None => Ok(()),
@@ -296,10 +304,10 @@ impl<'a> Verifier<'a> {
         self.cursor.as_ref().map_or(0, |cursor| cursor.moment_words_scanned())
     }
 
-    /// The fused-pass kernel this verifier's evaluations run with (from its
-    /// shard policy; by default the process-wide dispatched kernel).
+    /// The fused-pass kernel this verifier's evaluations run with (by
+    /// default the process-wide dispatched kernel).
     pub fn kernel(&self) -> KernelKind {
-        self.policy.kernel()
+        self.kernel
     }
 
     /// The minimal context of the queried record (its own attribute values).
@@ -349,8 +357,8 @@ impl<'a> Verifier<'a> {
         match self.cursor.as_mut() {
             Some(cursor) => cursor.move_to(context)?,
             None => {
-                let mut cursor =
-                    PopulationCursor::with_policy(self.dataset, context, self.policy.clone())?;
+                let mut cursor = PopulationCursor::with_kernel(self.dataset, context, self.kernel)?;
+                cursor.set_halt(self.cancel.as_ref().map(halt_probe));
                 if self.use_moments {
                     cursor.track_moments(self.dataset.metric(self.outlier_id));
                 }
@@ -592,26 +600,6 @@ mod tests {
         assert_eq!(batched.calls(), calls);
     }
 
-    #[test]
-    fn sharded_verifier_matches_serial() {
-        let dataset = toy();
-        let detector = ZScoreDetector::new(1.4);
-        let utility = PopulationSizeUtility;
-        let mut serial =
-            Verifier::with_shard_policy(&dataset, &detector, &utility, 9, ShardPolicy::serial());
-        let pool = std::sync::Arc::new(pcor_runtime::ThreadPool::new(2));
-        let policy = ShardPolicy::pooled_forced(pool, 3);
-        let mut sharded = Verifier::with_shard_policy(&dataset, &detector, &utility, 9, policy);
-        for mask in 0..(1u32 << 4) {
-            let context = Context::from_indices(4, (0..4).filter(|i| (mask >> i) & 1 == 1));
-            assert_eq!(
-                serial.evaluate(&context).unwrap(),
-                sharded.evaluate(&context).unwrap(),
-                "sharded evaluation diverged at mask {mask:04b}"
-            );
-        }
-    }
-
     /// Forces the slice path of any moment-decidable detector — the
     /// from-scratch reference the incremental moment path must agree with.
     struct SlicePath<D>(D);
@@ -696,17 +684,11 @@ mod tests {
         let detector = ZScoreDetector::new(2.5);
         let utility = PopulationSizeUtility;
         let t = dataset.schema().total_values();
-        let mut reference = Verifier::with_shard_policy(
-            &dataset,
-            &detector,
-            &utility,
-            outlier_id,
-            ShardPolicy::serial().with_kernel(KernelKind::Scalar),
-        );
+        let mut reference =
+            Verifier::with_kernel(&dataset, &detector, &utility, outlier_id, KernelKind::Scalar);
         for kind in KernelKind::supported() {
-            let policy = ShardPolicy::serial().with_kernel(kind);
             let mut verifier =
-                Verifier::with_shard_policy(&dataset, &detector, &utility, outlier_id, policy);
+                Verifier::with_kernel(&dataset, &detector, &utility, outlier_id, kind);
             assert_eq!(verifier.kernel(), kind);
             let mut context = dataset.minimal_context(outlier_id).unwrap();
             let mut state = 0xDEADBEEFCAFEF00Du64;

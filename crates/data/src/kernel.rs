@@ -37,8 +37,9 @@ use std::sync::OnceLock;
 ///
 /// Computes `out[k] = first[k] & AND over rest of rest[attr].words()[lo + k]`
 /// and returns the total popcount of `out`. `first` is pre-sliced to the
-/// shard's word range; `rest` bitmaps are indexed at `lo + k` so one pass can
-/// operate on any contiguous shard of the record-word space.
+/// chunk's word range; `rest` bitmaps are indexed at `lo + k` so one call can
+/// operate on any contiguous chunk of the record-word space (a pass with a
+/// halt probe runs chunk by chunk).
 pub type KernelFn = fn(first: &[u64], rest: &[RecordBitmap], out: &mut [u64], lo: usize) -> usize;
 
 /// The available fused-pass implementations.
@@ -146,8 +147,8 @@ impl std::fmt::Display for KernelKind {
 /// unsupported values fall back to `scalar`; `auto` or unset picks
 /// [`KernelKind::best_supported`]). Resolved once and cached — the env
 /// override cannot change mid-process; use
-/// [`ShardPolicy::with_kernel`](crate::ShardPolicy::with_kernel) to compare
-/// kernels within one process.
+/// [`PopulationCursor::with_kernel`](crate::PopulationCursor::with_kernel)
+/// to compare kernels within one process.
 pub fn selected() -> KernelKind {
     static SELECTED: OnceLock<KernelKind> = OnceLock::new();
     *SELECTED.get_or_init(|| resolve(std::env::var("PCOR_KERNEL").ok().as_deref()))

@@ -43,7 +43,7 @@ pub use bitmap::RecordBitmap;
 pub use context::Context;
 pub use dataset::Dataset;
 pub use kernel::KernelKind;
-pub use population::{HaltFn, PopulationCursor, ShardPolicy};
+pub use population::{HaltFn, PopulationCursor};
 pub use record::Record;
 pub use schema::{Attribute, Schema};
 

@@ -7,199 +7,29 @@
 //! though the search algorithms (BFS, DFS, random walk, Gray-code
 //! enumeration) only ever move by single-bit context flips.
 //!
-//! This module provides the machinery that removes both costs:
+//! [`PopulationCursor`] removes both costs: a stateful evaluator that caches
+//! one union bitmap *per attribute*. A one-bit context flip then recomputes
+//! only the touched attribute's union (an OR over at most `|A_i|` value
+//! bitmaps — or a single OR when a bit turns on) followed by one fused
+//! AND + popcount pass over the `m` cached unions, instead of the full
+//! per-attribute loop over all selected values.
 //!
-//! * [`PopulationCursor`] — a stateful evaluator that caches one union
-//!   bitmap *per attribute*. A one-bit context flip then recomputes only the
-//!   touched attribute's union (an OR over at most `|A_i|` value bitmaps —
-//!   or a single OR when a bit turns on) followed by one fused
-//!   AND + popcount pass over the `m` cached unions, instead of the full
-//!   per-attribute loop over all selected values;
-//! * [`ShardPolicy`] — how that fused pass runs. Without a pool it runs
-//!   serially on the calling thread; with a resident
-//!   [`pcor_runtime::ThreadPool`] ([`ShardPolicy::pooled`]) it shards the
-//!   record-word space across the pool's workers once the pass reaches
-//!   [`ShardPolicy::POOLED_MIN_WORDS`] ≈ 260 k records (the break-even
-//!   measured by the `pool-breakeven` experiment in `pcor-bench`), which
-//!   parallelizes evaluation *within* a single release. Sharded and serial
-//!   evaluation are bit-identical: the pass is an exact word-wise AND.
+//! Every pass runs on the calling thread: a release is one search on one
+//! thread, and the server runs releases in parallel, one per pool worker.
 
 use crate::bitmap::RecordBitmap;
 use crate::context::Context;
 use crate::dataset::Dataset;
 use crate::kernel::{self, KernelFn, KernelKind};
 use crate::{DataError, Result};
-use pcor_runtime::ThreadPool;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// A cooperative stop probe threaded into sharded fused passes: shards
-/// poll it between sub-chunks and abandon the pass when it returns `true`.
-/// The closure form keeps `pcor-data` below the crate that owns request
-/// lifecycles — `pcor-core` adapts its `CancelToken` (deadline included)
-/// into one of these without this crate knowing what a request is.
+/// A cooperative stop probe threaded into fused passes: the pass polls it
+/// between sub-chunks and is abandoned when it returns `true`. The closure
+/// form keeps `pcor-data` below the crate that owns request lifecycles —
+/// `pcor-core` adapts its `CancelToken` (deadline included) into one of
+/// these without this crate knowing what a request is.
 pub type HaltFn = Arc<dyn Fn() -> bool + Send + Sync>;
-
-/// How the fused AND/popcount pass of a [`PopulationCursor`] distributes its
-/// word range across threads.
-///
-/// The only executor is a resident [`pcor_runtime::ThreadPool`]: a policy
-/// without one ([`ShardPolicy::serial`], the default) runs every pass on the
-/// calling thread, and a pooled policy ([`ShardPolicy::pooled`]) splits the
-/// pass into one shard per pool worker once it streams at least
-/// [`ShardPolicy::POOLED_MIN_WORDS`] words. The submitting thread helps
-/// execute its own shards, so dispatch costs a few queue operations and a
-/// pooled pass is safe to run from inside a task on the same pool.
-///
-/// Sharding is exact — the pass is a word-wise AND, so sharded and serial
-/// results are bit-identical.
-///
-/// Every policy also carries the [`KernelKind`] its fused passes run with —
-/// by default the process-wide dispatched kernel ([`kernel::selected`]), so
-/// pooled shards execute the same SIMD implementation as serial passes.
-/// [`ShardPolicy::with_kernel`] pins an explicit kernel for in-process
-/// comparisons (tests, benchmarks).
-#[derive(Clone)]
-pub struct ShardPolicy {
-    /// Maximum number of shards for one pass.
-    threads: usize,
-    /// Minimum number of 64-bit words in the record space before the pass
-    /// shards at all.
-    min_words: usize,
-    /// The pool the shards run on; `None` means every pass is serial.
-    pool: Option<Arc<ThreadPool>>,
-    kernel: KernelKind,
-    /// Cooperative stop probe polled between sub-chunks of every pass
-    /// (serial and sharded); `None` means passes always run to completion.
-    halt: Option<HaltFn>,
-}
-
-impl std::fmt::Debug for ShardPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardPolicy")
-            .field("threads", &self.threads)
-            .field("min_words", &self.min_words)
-            .field("pool", &self.pool)
-            .field("kernel", &self.kernel)
-            .field("halt", &self.halt.as_ref().map(|_| "<fn>"))
-            .finish()
-    }
-}
-
-impl ShardPolicy {
-    /// Word threshold of the [`ShardPolicy::pooled`] policy: 2^12 words
-    /// (≈ 260 k records). A resident pool's fork-join dispatch is a few
-    /// queue operations plus at most one wake, which one pass over a few
-    /// kilowords already amortizes — see `BENCH_pool.json` for the
-    /// measurement.
-    pub const POOLED_MIN_WORDS: usize = 1 << 12;
-
-    fn new(threads: usize, min_words: usize, pool: Option<Arc<ThreadPool>>) -> Self {
-        ShardPolicy { threads, min_words, pool, kernel: kernel::selected(), halt: None }
-    }
-
-    /// Never shard; every pass runs on the calling thread.
-    pub fn serial() -> Self {
-        Self::new(1, usize::MAX, None)
-    }
-
-    /// Shard on the resident `pool` once the record space reaches
-    /// [`ShardPolicy::POOLED_MIN_WORDS`] words, using up to one shard per
-    /// pool worker. A pool with a single worker yields a serial policy
-    /// (sharding cannot win without parallelism), so this is always safe to
-    /// request — the policy right-sizes itself to the machine.
-    pub fn pooled(pool: Arc<ThreadPool>) -> Self {
-        Self::new(pool.workers(), Self::POOLED_MIN_WORDS, Some(pool))
-    }
-
-    /// Shard every pass on `pool` across `threads` shards regardless of
-    /// size — for tests (bit-identity against serial) and benchmarks.
-    pub fn pooled_forced(pool: Arc<ThreadPool>, threads: usize) -> Self {
-        Self::new(threads.max(1), 0, Some(pool))
-    }
-
-    /// Pins an explicit fused-pass kernel on this policy. Unsupported kinds
-    /// degrade to the scalar implementation at dispatch time
-    /// ([`KernelKind::func`]), so a pinned policy is always safe to run.
-    ///
-    /// The default for every constructor is [`kernel::selected`] — the
-    /// process-wide dispatched kernel (honoring `PCOR_KERNEL`); pinning is
-    /// for comparing kernels within one process.
-    pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// The fused-pass kernel this policy's passes run with.
-    pub fn kernel(&self) -> KernelKind {
-        self.kernel
-    }
-
-    /// The resident pool this policy executes on, if any.
-    pub fn pool(&self) -> Option<&Arc<ThreadPool>> {
-        self.pool.as_ref()
-    }
-
-    /// Attaches a cooperative stop probe: every fused pass (serial or
-    /// sharded) polls it between sub-chunks and abandons the pass —
-    /// marking its cursor [`PopulationCursor::interrupted`] — when it
-    /// returns `true`. This is how a request deadline reaches into a pass
-    /// already running on pool workers: the probe typically wraps a cancel
-    /// token shared with the request lifecycle.
-    #[must_use]
-    pub fn with_halt(mut self, halt: HaltFn) -> Self {
-        self.halt = Some(halt);
-        self
-    }
-
-    /// Installs or clears the stop probe in place (see
-    /// [`ShardPolicy::with_halt`]).
-    pub fn set_halt(&mut self, halt: Option<HaltFn>) {
-        self.halt = halt;
-    }
-
-    /// The installed stop probe, if any.
-    pub fn halt(&self) -> Option<&HaltFn> {
-        self.halt.as_ref()
-    }
-
-    /// The number of shards a pass over `words` words uses under this policy.
-    fn shards_for(&self, words: usize) -> usize {
-        if self.threads > 1 && words >= self.min_words {
-            self.threads.min(words.max(1))
-        } else {
-            1
-        }
-    }
-}
-
-/// Whether two optional shared handles are both absent or the same
-/// allocation.
-fn same_arc<T: ?Sized>(a: &Option<Arc<T>>, b: &Option<Arc<T>>) -> bool {
-    match (a, b) {
-        (None, None) => true,
-        (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-        _ => false,
-    }
-}
-
-impl PartialEq for ShardPolicy {
-    fn eq(&self, other: &Self) -> bool {
-        self.threads == other.threads
-            && self.min_words == other.min_words
-            && self.kernel == other.kernel
-            && same_arc(&self.pool, &other.pool)
-            && same_arc(&self.halt, &other.halt)
-    }
-}
-
-impl Eq for ShardPolicy {}
-
-impl Default for ShardPolicy {
-    fn default() -> Self {
-        ShardPolicy::serial()
-    }
-}
 
 /// A stateful population evaluator positioned at one context.
 ///
@@ -215,7 +45,6 @@ impl Default for ShardPolicy {
 /// proportional to the number of *attributes* whose selection changed, so a
 /// cursor is never slower than a from-scratch evaluation and strictly
 /// cheaper for the local moves every search algorithm makes.
-#[derive(Debug)]
 pub struct PopulationCursor<'a> {
     dataset: &'a Dataset,
     context: Context,
@@ -229,18 +58,19 @@ pub struct PopulationCursor<'a> {
     population_size: usize,
     /// Whether `result`/`population_size` reflect the current context.
     fresh: bool,
-    /// Whether the last pass was abandoned by the policy's halt probe. An
+    /// Whether the last pass was abandoned by the halt probe. An
     /// interrupted pass leaves `result` partial and `population_size` at 0,
     /// and `fresh` stays false so the next accessor recomputes; callers
     /// observing this must discard the evaluation (and not let a moment
     /// tracker sync against the partial bitmap).
     interrupted: bool,
-    policy: ShardPolicy,
-    /// The fused-pass implementation, resolved once from the policy's
-    /// [`KernelKind`]; serial passes and every shard call the same pointer.
+    /// The fused-pass kernel the cursor runs with.
+    kind: KernelKind,
+    /// The fused-pass implementation, resolved once from `kind`.
     kernel: KernelFn,
-    /// Per-shard popcount slots, reused across passes (no per-pass alloc).
-    shard_counts: Vec<usize>,
+    /// Cooperative stop probe polled between sub-chunks of every pass;
+    /// `None` means passes always run to completion.
+    halt: Option<HaltFn>,
     /// Total bitmap words read by fused passes over the cursor's lifetime.
     words_scanned: u64,
     /// Incremental sufficient statistics for moment-decidable detectors,
@@ -263,25 +93,27 @@ impl<'a> PopulationCursor<'a> {
     /// statistical.
     pub const MOMENT_REFRESH_INTERVAL: u32 = 256;
 
-    /// Positions a new cursor at `context` with the serial shard policy.
+    /// Positions a new cursor at `context`, running its passes with the
+    /// process-wide dispatched kernel ([`kernel::selected`], which honors
+    /// `PCOR_KERNEL`).
     ///
     /// # Errors
     /// Returns [`DataError::ContextLengthMismatch`] when the context does
     /// not match the dataset's schema.
     pub fn new(dataset: &'a Dataset, context: &Context) -> Result<Self> {
-        Self::with_policy(dataset, context, ShardPolicy::serial())
+        Self::with_kernel(dataset, context, kernel::selected())
     }
 
-    /// Positions a new cursor at `context` with an explicit shard policy.
+    /// Positions a new cursor at `context` with an explicit fused-pass
+    /// kernel, for comparing kernels within one process (tests,
+    /// benchmarks). Unsupported kinds degrade to the scalar implementation
+    /// at dispatch time ([`KernelKind::func`]), so a pinned cursor is
+    /// always safe to run.
     ///
     /// # Errors
     /// Returns [`DataError::ContextLengthMismatch`] when the context does
     /// not match the dataset's schema.
-    pub fn with_policy(
-        dataset: &'a Dataset,
-        context: &Context,
-        policy: ShardPolicy,
-    ) -> Result<Self> {
+    pub fn with_kernel(dataset: &'a Dataset, context: &Context, kind: KernelKind) -> Result<Self> {
         let schema = dataset.schema();
         if context.len() != schema.total_values() {
             return Err(DataError::ContextLengthMismatch {
@@ -291,8 +123,6 @@ impl<'a> PopulationCursor<'a> {
         }
         let n = dataset.len();
         let m = schema.num_attributes();
-        let shard_slots = policy.threads.max(1);
-        let kernel_fn = policy.kernel.func();
         let mut cursor = PopulationCursor {
             dataset,
             context: context.clone(),
@@ -303,9 +133,9 @@ impl<'a> PopulationCursor<'a> {
             population_size: 0,
             fresh: false,
             interrupted: false,
-            policy,
-            kernel: kernel_fn,
-            shard_counts: vec![0; shard_slots],
+            kind,
+            kernel: kind.func(),
+            halt: None,
             words_scanned: 0,
             moments: None,
             moments_dirty: false,
@@ -327,17 +157,19 @@ impl<'a> PopulationCursor<'a> {
         self.dataset
     }
 
-    /// The shard policy of the fused AND/popcount pass.
-    pub fn policy(&self) -> &ShardPolicy {
-        &self.policy
+    /// The fused-pass kernel this cursor's passes run with.
+    pub fn kernel(&self) -> KernelKind {
+        self.kind
     }
 
-    /// Installs or clears the halt probe on this cursor's policy — the
-    /// hook [`ShardPolicy::with_halt`] describes, but applicable to a
-    /// cursor that already exists (a verifier positions its cursor lazily
-    /// and may receive its cancel token either side of that).
+    /// Installs or clears the cooperative stop probe: every fused pass
+    /// polls it between 4096-word sub-chunks and abandons
+    /// the pass — marking the cursor [`PopulationCursor::interrupted`] —
+    /// when it returns `true`. This is how a request deadline reaches into
+    /// a pass already running; the probe typically wraps a cancel token
+    /// shared with the request lifecycle.
     pub fn set_halt(&mut self, halt: Option<HaltFn>) {
-        self.policy.set_halt(halt);
+        self.halt = halt;
     }
 
     /// Whether the most recent pass was abandoned by the halt probe. The
@@ -534,8 +366,7 @@ impl<'a> PopulationCursor<'a> {
     }
 
     /// Recomputes the result bitmap and popcount when stale: one fused pass
-    /// computing `AND over attributes i (U_i)` word by word, sharded across
-    /// the policy's pool when the policy and size warrant it.
+    /// computing `AND over attributes i (U_i)` word by word.
     fn refresh(&mut self) {
         if self.fresh {
             return;
@@ -549,98 +380,79 @@ impl<'a> PopulationCursor<'a> {
             self.population_size = 0;
             return;
         }
-        let halt = self.policy.halt().cloned();
-        if halt.as_ref().is_some_and(|probe| probe()) {
+        let PopulationCursor { attr_unions, result, kernel, halt, words_scanned, .. } = self;
+        let count = if halt.as_ref().is_some_and(|probe| probe()) {
             // Already cancelled before any work: abandon without touching
             // the bitmap so the caller can discard and retry cheaply.
-            self.fresh = false;
-            self.interrupted = true;
-            self.population_size = 0;
-            return;
-        }
-        let halted = AtomicBool::new(false);
-        let PopulationCursor { attr_unions, result, shard_counts, kernel, .. } = self;
-        let kernel = *kernel;
-        let (first, rest) = attr_unions.split_first().expect("schemas have >= 1 attribute");
-        let out = result.words_mut();
-        // One fused pass reads every output word once from `first` and once
-        // per remaining attribute union.
-        self.words_scanned += (out.len() * (1 + rest.len())) as u64;
-        let shards = self.policy.shards_for(out.len());
-        // `Option<(&HaltFn, &AtomicBool)>` is `Copy`, so each shard closure
-        // captures its own copy of the probe pair.
-        let probe = halt.as_ref().map(|probe| (probe, &halted));
-        match &self.policy.pool {
-            Some(pool) if shards > 1 => {
-                // Resident workers steal the shards while the submitting
-                // thread helps execute — the dispatch overhead is a few
-                // queue operations, which is what lowers the break-even to
-                // `POOLED_MIN_WORDS`. Per-shard counts land in reusable
-                // slots; a shard panic propagates out of `scope`.
-                let chunk = out.len().div_ceil(shards);
-                pool.scope(|scope| {
-                    for ((shard, out_chunk), count) in
-                        out.chunks_mut(chunk).enumerate().zip(shard_counts.iter_mut())
-                    {
-                        let lo = shard * chunk;
-                        let first_words = &first.words()[lo..lo + out_chunk.len()];
-                        scope.spawn(move || {
-                            *count = run_shard(kernel, first_words, rest, out_chunk, lo, probe);
-                        });
-                    }
-                });
-                let used = out.len().div_ceil(chunk);
-                self.population_size = shard_counts[..used].iter().sum();
+            None
+        } else {
+            let (first, rest) = attr_unions.split_first().expect("schemas have >= 1 attribute");
+            let out = result.words_mut();
+            // One fused pass reads every output word once from `first` and
+            // once per remaining attribute union.
+            *words_scanned += (out.len() * (1 + rest.len())) as u64;
+            fused_pass(*kernel, first.words(), rest, out, halt.as_ref())
+        };
+        match count {
+            Some(count) => self.population_size = count,
+            None => {
+                // Skipped or partial pass: `result` may hold a mix of new
+                // and stale words. Leave the cursor stale so the next
+                // accessor recomputes, and flag the interruption so this
+                // evaluation gets discarded.
+                self.fresh = false;
+                self.interrupted = true;
+                self.population_size = 0;
             }
-            _ => self.population_size = run_shard(kernel, first.words(), rest, out, 0, probe),
-        }
-        if halted.load(Ordering::Relaxed) {
-            // Partial pass: `result` holds a mix of new and stale words.
-            // Leave the cursor stale so the next accessor recomputes, and
-            // flag the interruption so this evaluation gets discarded.
-            self.fresh = false;
-            self.interrupted = true;
-            self.population_size = 0;
         }
     }
 }
 
-/// Granularity, in output words, between halt-probe checks inside one shard
-/// of the fused pass. 4096 words (32 KiB of `first` plus the same per
-/// remaining attribute) amortises the probe to well under 1% of kernel time
-/// while bounding cancellation latency to microseconds per shard.
+impl std::fmt::Debug for PopulationCursor<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PopulationCursor")
+            .field("context", &self.context)
+            .field("population_size", &self.population_size)
+            .field("fresh", &self.fresh)
+            .field("interrupted", &self.interrupted)
+            .field("kernel", &self.kind)
+            .field("halt", &self.halt.as_ref().map(|_| "<fn>"))
+            .field("words_scanned", &self.words_scanned)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Granularity, in output words, between halt-probe checks inside one fused
+/// pass. 4096 words (32 KiB of `first` plus the same per remaining
+/// attribute) amortises the probe to well under 1% of kernel time while
+/// bounding cancellation latency to microseconds.
 const HALT_CHECK_WORDS: usize = 1 << 12;
 
-/// Runs `kernel` over one shard's words. With no halt probe this is a single
-/// kernel call; with one, the shard proceeds in [`HALT_CHECK_WORDS`]-word
-/// sub-chunks, checking the shared `halted` flag and the probe between them.
-/// Once any shard observes a halt it publishes it so sibling shards stop at
-/// their next boundary, and the partial count returned is meaningless — the
-/// caller discards the whole pass.
-fn run_shard(
+/// Runs `kernel` over the whole word range. With no halt probe this is a
+/// single kernel call; with one, the pass proceeds in
+/// [`HALT_CHECK_WORDS`]-word sub-chunks and checks the probe before each.
+/// Returns `None` once the probe fires: the partial count is meaningless
+/// and the caller discards the whole pass.
+fn fused_pass(
     kernel: KernelFn,
     first: &[u64],
     rest: &[RecordBitmap],
     out: &mut [u64],
-    lo: usize,
-    halt: Option<(&HaltFn, &AtomicBool)>,
-) -> usize {
-    let Some((halt, halted)) = halt else {
-        return kernel(first, rest, out, lo);
+    halt: Option<&HaltFn>,
+) -> Option<usize> {
+    let Some(halt) = halt else {
+        return Some(kernel(first, rest, out, 0));
     };
-    let total = out.len();
     let mut count = 0;
-    let mut done = 0;
-    while done < total {
-        if halted.load(Ordering::Relaxed) || halt() {
-            halted.store(true, Ordering::Relaxed);
-            return count;
+    for (chunk, (first, out)) in
+        first.chunks(HALT_CHECK_WORDS).zip(out.chunks_mut(HALT_CHECK_WORDS)).enumerate()
+    {
+        if halt() {
+            return None;
         }
-        let len = HALT_CHECK_WORDS.min(total - done);
-        count += kernel(&first[done..done + len], rest, &mut out[done..done + len], lo + done);
-        done += len;
+        count += kernel(first, rest, out, chunk * HALT_CHECK_WORDS);
     }
-    count
+    Some(count)
 }
 
 /// Incrementally maintained centered sufficient statistics of a population's
@@ -796,7 +608,7 @@ mod tests {
     use super::*;
     use crate::record::Record;
     use crate::schema::{Attribute, Schema};
-    use pcor_runtime::ThreadPool;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn dataset() -> Dataset {
         let schema = Schema::new(
@@ -863,28 +675,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_pass_is_bit_identical_to_serial() {
-        let d = dataset();
-        let t = d.schema().total_values();
-        let context = Context::from_indices(t, [0, 2, 3, 5, 7]);
-        let mut serial =
-            PopulationCursor::with_policy(&d, &context, ShardPolicy::serial()).unwrap();
-        // One worker and four shards: the submitting thread runs most of
-        // them itself.
-        let pool = Arc::new(ThreadPool::new(1));
-        let mut sharded =
-            PopulationCursor::with_policy(&d, &context, ShardPolicy::pooled_forced(pool, 4))
-                .unwrap();
-        assert_eq!(serial.population(), sharded.population());
-        assert_eq!(serial.population_size(), sharded.population_size());
-        for bit in 0..t {
-            serial.flip(bit);
-            sharded.flip(bit);
-            assert_eq!(serial.population(), sharded.population());
-        }
-    }
-
-    #[test]
     fn ill_formed_contexts_have_empty_populations() {
         let d = dataset();
         let t = d.schema().total_values();
@@ -905,59 +695,6 @@ mod tests {
         let t = d.schema().total_values();
         let mut cursor = PopulationCursor::new(&d, &Context::empty(t)).unwrap();
         assert!(cursor.move_to(&Context::empty(3)).is_err());
-    }
-
-    #[test]
-    fn shard_policy_thresholds() {
-        assert_eq!(ShardPolicy::serial().shards_for(1 << 20), 1);
-        let pool = Arc::new(ThreadPool::new(2));
-        assert_eq!(ShardPolicy::pooled_forced(Arc::clone(&pool), 4).shards_for(10), 4);
-        assert_eq!(ShardPolicy::pooled_forced(pool, 4).shards_for(2), 2);
-        assert_eq!(ShardPolicy::default(), ShardPolicy::serial());
-    }
-
-    #[test]
-    fn pooled_policy_right_sizes_to_the_pool_and_compares_by_pool_identity() {
-        let pool = Arc::new(ThreadPool::new(3));
-        let policy = ShardPolicy::pooled(Arc::clone(&pool));
-        assert_eq!(policy.threads, 3);
-        assert_eq!(policy.min_words, ShardPolicy::POOLED_MIN_WORDS);
-        assert!(policy.pool().is_some());
-        assert_eq!(policy.shards_for(ShardPolicy::POOLED_MIN_WORDS), 3);
-        assert_eq!(policy.shards_for(ShardPolicy::POOLED_MIN_WORDS - 1), 1);
-        // A single-worker pool yields a policy that never shards.
-        let lone = ShardPolicy::pooled(Arc::new(ThreadPool::new(1)));
-        assert_eq!(lone.shards_for(1 << 20), 1);
-        // Equality is by pool identity, not by configuration.
-        assert_eq!(policy, ShardPolicy::pooled(Arc::clone(&pool)));
-        assert_ne!(policy, ShardPolicy::pooled(Arc::new(ThreadPool::new(3))));
-        assert_ne!(policy, ShardPolicy::serial());
-    }
-
-    #[test]
-    fn pool_sharded_pass_is_bit_identical_to_serial() {
-        let d = dataset();
-        let t = d.schema().total_values();
-        let pool = Arc::new(ThreadPool::new(2));
-        let context = Context::from_indices(t, [0, 2, 3, 5, 7]);
-        let mut serial =
-            PopulationCursor::with_policy(&d, &context, ShardPolicy::serial()).unwrap();
-        let mut pooled = PopulationCursor::with_policy(
-            &d,
-            &context,
-            ShardPolicy::pooled_forced(Arc::clone(&pool), 4),
-        )
-        .unwrap();
-        assert_eq!(serial.population(), pooled.population());
-        assert_eq!(serial.population_size(), pooled.population_size());
-        for bit in 0..t {
-            serial.flip(bit);
-            pooled.flip(bit);
-            assert_eq!(serial.population(), pooled.population());
-            assert_eq!(serial.population_size(), pooled.population_size());
-        }
-        // The pool actually executed fork-join work for those passes.
-        assert!(pool.stats().tasks_submitted > 0);
     }
 
     #[test]
@@ -1013,16 +750,11 @@ mod tests {
         let d = dataset();
         let t = d.schema().total_values();
         let context = Context::from_indices(t, [0, 2, 3, 5, 7]);
-        let mut reference =
-            PopulationCursor::with_policy(&d, &context, ShardPolicy::serial()).unwrap();
-        for kind in crate::kernel::KernelKind::supported() {
-            let policy = ShardPolicy::serial().with_kernel(kind);
-            assert_eq!(policy.kernel(), kind);
-            // Kernel participates in policy equality.
-            if kind != ShardPolicy::serial().kernel() {
-                assert_ne!(policy, ShardPolicy::serial());
-            }
-            let mut cursor = PopulationCursor::with_policy(&d, &context, policy).unwrap();
+        let mut reference = PopulationCursor::new(&d, &context).unwrap();
+        assert_eq!(reference.kernel(), kernel::selected());
+        for kind in KernelKind::supported() {
+            let mut cursor = PopulationCursor::with_kernel(&d, &context, kind).unwrap();
+            assert_eq!(cursor.kernel(), kind);
             assert_eq!(cursor.population(), reference.population());
             assert_eq!(cursor.population_size(), reference.population_size());
         }
@@ -1042,87 +774,11 @@ mod tests {
     }
 
     #[test]
-    fn pool_sharded_pass_survives_pool_shutdown() {
-        // After shutdown the scope degenerates to an inline serial loop; the
-        // evaluation must stay available and bit-identical.
-        let d = dataset();
-        let t = d.schema().total_values();
-        let pool = Arc::new(ThreadPool::new(2));
-        let context = Context::from_indices(t, [0, 3, 5]);
-        let mut pooled = PopulationCursor::with_policy(
-            &d,
-            &context,
-            ShardPolicy::pooled_forced(pool.clone(), 2),
-        )
-        .unwrap();
-        pool.shutdown();
-        let expected = d.population(&context).unwrap();
-        assert_eq!(pooled.population(), &expected);
-    }
-
-    #[test]
-    fn pooled_cursor_inside_a_task_on_its_own_busy_pool_matches_serial() {
-        // The serving regime: a session evaluates a pooled cursor from a task
-        // running on that same pool. With the only other worker blocked, the
-        // task's own thread must execute every shard it submits.
-        let d = Arc::new(dataset());
-        let t = d.schema().total_values();
-        let start = Context::from_indices(t, [0, 2, 3, 5, 7]);
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let flips: Vec<usize> = (0..64)
-            .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                (state >> 33) as usize % t
-            })
-            .collect();
-        let pool = Arc::new(ThreadPool::new(2));
-        let (started_tx, started_rx) = std::sync::mpsc::channel();
-        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-        let blocker = pool.spawn(move || {
-            started_tx.send(()).unwrap();
-            release_rx.recv().unwrap();
-        });
-        started_rx.recv().unwrap();
-
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let (task_pool, task_data, task_start, task_flips) =
-            (Arc::clone(&pool), Arc::clone(&d), start.clone(), flips.clone());
-        let worker = pool.spawn(move || {
-            let policy = ShardPolicy::pooled_forced(task_pool, 4);
-            let mut cursor =
-                PopulationCursor::with_policy(&task_data, &task_start, policy).unwrap();
-            let mut steps = vec![(cursor.population().clone(), cursor.population_size())];
-            for &bit in &task_flips {
-                cursor.flip(bit);
-                steps.push((cursor.population().clone(), cursor.population_size()));
-            }
-            done_tx.send(steps).unwrap();
-        });
-        let steps = done_rx
-            .recv_timeout(std::time::Duration::from_secs(30))
-            .expect("pooled cursor inside a pool task must not deadlock");
-        release_tx.send(()).unwrap();
-        blocker.join().unwrap();
-        worker.join().unwrap();
-
-        let mut serial = PopulationCursor::with_policy(&d, &start, ShardPolicy::serial()).unwrap();
-        assert_eq!(steps.len(), flips.len() + 1);
-        for (step, (population, size)) in steps.iter().enumerate() {
-            if step > 0 {
-                serial.flip(flips[step - 1]);
-            }
-            assert_eq!(serial.population(), population, "step {step}");
-            assert_eq!(serial.population_size(), *size, "step {step}");
-        }
-    }
-
-    #[test]
     fn halt_before_any_work_interrupts_and_recovers() {
         let d = dataset();
         let t = d.schema().total_values();
         let context = Context::from_indices(t, [0, 3, 5]);
-        let mut cursor =
-            PopulationCursor::with_policy(&d, &context, ShardPolicy::serial()).unwrap();
+        let mut cursor = PopulationCursor::new(&d, &context).unwrap();
         cursor.set_halt(Some(Arc::new(|| true)));
         assert_eq!(cursor.population_size(), 0);
         assert!(cursor.interrupted());
@@ -1135,25 +791,22 @@ mod tests {
     }
 
     #[test]
-    fn halt_mid_pass_discards_partial_result_across_executors() {
+    fn halt_mid_pass_discards_partial_result() {
         let d = dataset();
         let t = d.schema().total_values();
         let context = Context::from_indices(t, [0, 1, 2, 3, 4, 5, 6, 7, 8]);
-        let pool = Arc::new(ThreadPool::new(2));
-        for policy in [ShardPolicy::serial(), ShardPolicy::pooled_forced(pool, 2)] {
-            let mut cursor = PopulationCursor::with_policy(&d, &context, policy).unwrap();
-            // Fires on the second probe: the up-front check passes, then the
-            // first shard to probe again trips it and publishes the halt.
-            let probes = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-            let seen = Arc::clone(&probes);
-            cursor.set_halt(Some(Arc::new(move || seen.fetch_add(1, Ordering::Relaxed) >= 1)));
-            assert_eq!(cursor.population_size(), 0);
-            assert!(cursor.interrupted());
-            cursor.set_halt(None);
-            let expected = d.population(&context).unwrap();
-            assert_eq!(cursor.population(), &expected);
-            assert_eq!(cursor.population_size(), expected.count());
-        }
+        let mut cursor = PopulationCursor::new(&d, &context).unwrap();
+        // Fires on the second probe: the up-front check passes, then the
+        // probe before the pass's first sub-chunk trips it.
+        let probes = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&probes);
+        cursor.set_halt(Some(Arc::new(move || seen.fetch_add(1, Ordering::Relaxed) >= 1)));
+        assert_eq!(cursor.population_size(), 0);
+        assert!(cursor.interrupted());
+        cursor.set_halt(None);
+        let expected = d.population(&context).unwrap();
+        assert_eq!(cursor.population(), &expected);
+        assert_eq!(cursor.population_size(), expected.count());
     }
 
     #[test]
@@ -1161,8 +814,7 @@ mod tests {
         let d = dataset();
         let t = d.schema().total_values();
         let context = Context::full(t);
-        let mut cursor =
-            PopulationCursor::with_policy(&d, &context, ShardPolicy::serial()).unwrap();
+        let mut cursor = PopulationCursor::new(&d, &context).unwrap();
         cursor.track_moments(0.0);
         let clean = cursor.moments();
         // Move the context, then interrupt the recompute: moments() must not

@@ -10,9 +10,7 @@
 //! across forced boundaries.
 
 use pcor_data::kernel::{scalar_pass, KernelKind};
-use pcor_data::{
-    Attribute, Context, Dataset, PopulationCursor, Record, RecordBitmap, Schema, ShardPolicy,
-};
+use pcor_data::{Attribute, Context, Dataset, PopulationCursor, Record, RecordBitmap, Schema};
 use proptest::prelude::*;
 
 /// Builds a bitmap of `words` words filled from a seeded PRNG.
@@ -49,7 +47,7 @@ proptest! {
 
     /// Bitmap and count identity of every supported kernel against the
     /// scalar reference, over random word streams, random attribute counts
-    /// and random shard offsets (`lo`).
+    /// and random chunk offsets (`lo`).
     #[test]
     fn kernels_are_bit_identical_to_scalar(
         words in words_strategy(),
@@ -59,7 +57,7 @@ proptest! {
     ) {
         let first = seeded_bitmap(words, seed);
         // `rest` bitmaps are indexed at `lo + k`, so they carry `lo` extra
-        // leading words — the shape a sharded pass hands the kernel.
+        // leading words — the shape a chunked pass hands the kernel.
         let rest: Vec<RecordBitmap> = (0..attrs)
             .map(|i| seeded_bitmap(lo_words + words, seed ^ (i as u64 + 1).wrapping_mul(0xA5A5)))
             .collect();
@@ -117,9 +115,7 @@ proptest! {
         let t = dataset.schema().total_values();
         let origin = dataset.metric(next() % n);
 
-        let mut cursor =
-            PopulationCursor::with_policy(&dataset, &Context::full(t), ShardPolicy::serial())
-                .unwrap();
+        let mut cursor = PopulationCursor::new(&dataset, &Context::full(t)).unwrap();
         cursor.track_moments_every(origin, refresh_every);
         let mut flip_state = seed ^ 0x5DEECE66D;
         for step in 0..64 {

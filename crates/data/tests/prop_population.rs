@@ -1,19 +1,9 @@
 //! Property-based tests of the incremental population engine: the cursor
-//! and the pool-sharded fused pass must both be bit-identical to the
-//! from-scratch `Dataset::population` for any dataset, any context and any
-//! flip sequence.
+//! must be bit-identical to the from-scratch `Dataset::population` for any
+//! dataset, any context and any flip sequence.
 
-use pcor_data::{Attribute, Context, Dataset, PopulationCursor, Record, Schema, ShardPolicy};
-use pcor_runtime::ThreadPool;
+use pcor_data::{Attribute, Context, Dataset, PopulationCursor, Record, Schema};
 use proptest::prelude::*;
-use std::sync::{Arc, OnceLock};
-
-/// One resident pool shared by every proptest case (what a serving process
-/// would do) — also exercises pool reuse across many unrelated fork-joins.
-fn shared_pool() -> Arc<ThreadPool> {
-    static POOL: OnceLock<Arc<ThreadPool>> = OnceLock::new();
-    Arc::clone(POOL.get_or_init(|| Arc::new(ThreadPool::new(3))))
-}
 
 /// Strategy: a small random schema (2–4 attributes, domains of 2–5 values).
 fn schema_strategy() -> impl Strategy<Value = Schema> {
@@ -31,7 +21,7 @@ fn schema_strategy() -> impl Strategy<Value = Schema> {
 }
 
 /// Strategy: a dataset over a random schema with 20–200 records (several
-/// bitmap words, so sharding has something to split).
+/// bitmap words).
 fn dataset_strategy() -> impl Strategy<Value = Dataset> {
     (schema_strategy(), 20usize..200, any::<u64>()).prop_map(|(schema, n, seed)| {
         let mut state = seed;
@@ -69,8 +59,7 @@ proptest! {
 
     /// After ANY sequence of random single-bit flips, the cursor's population
     /// bitmap and popcount equal a from-scratch `Dataset::population` of the
-    /// same context — and the pool-sharded pass is bit-identical to the
-    /// serial one at every step.
+    /// same context at every step.
     #[test]
     fn cursor_tracks_from_scratch_population_under_random_flips(
         dataset in dataset_strategy(),
@@ -80,27 +69,17 @@ proptest! {
     ) {
         let t = dataset.schema().total_values();
         let start = seeded_context(t, start_seed);
-        let mut serial =
-            PopulationCursor::with_policy(&dataset, &start, ShardPolicy::serial()).unwrap();
-        let mut pooled = PopulationCursor::with_policy(
-            &dataset,
-            &start,
-            ShardPolicy::pooled_forced(shared_pool(), 4),
-        )
-        .unwrap();
+        let mut serial = PopulationCursor::new(&dataset, &start).unwrap();
         let mut reference = start;
         let mut state = flip_seed;
         for _ in 0..flips {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let bit = (state >> 33) as usize % t;
             serial.flip(bit);
-            pooled.flip(bit);
             reference.flip(bit);
             let expected = dataset.population(&reference).unwrap();
             prop_assert_eq!(serial.population(), &expected);
             prop_assert_eq!(serial.population_size(), expected.count());
-            prop_assert_eq!(pooled.population(), &expected);
-            prop_assert_eq!(pooled.population_size(), expected.count());
         }
     }
 

@@ -18,9 +18,8 @@
 //! * [`service`] — the concurrent multi-analyst release server: dataset
 //!   registry, per-analyst budget ledger and streaming batch delivery
 //!   (`pcor-service`);
-//! * [`runtime`] — the persistent work-stealing thread pool shared by the
-//!   verification engine's sharded passes and the serving layer
-//!   (`pcor-runtime`);
+//! * [`runtime`] — the persistent work-stealing thread pool the serving
+//!   layer runs its requests on (`pcor-runtime`);
 //! * [`telemetry`] — the observability bundle: metrics registry with a
 //!   Prometheus-text exporter, per-release tracing spans and the
 //!   privacy-budget audit log (`pcor-telemetry`);
@@ -78,9 +77,7 @@ pub mod prelude {
     pub use pcor_data::generator::{
         homicide_dataset, salary_dataset, HomicideConfig, SalaryConfig,
     };
-    pub use pcor_data::{
-        Attribute, Context, Dataset, PopulationCursor, Record, Schema, ShardPolicy,
-    };
+    pub use pcor_data::{Attribute, Context, Dataset, PopulationCursor, Record, Schema};
     pub use pcor_dp::{
         BudgetAccountant, ExponentialMechanism, LaplaceMechanism, MechanismKind, MechanismTally,
         OverlapUtility, PermuteAndFlip, PopulationSizeUtility, ReportNoisyMax, SelectionMechanism,

@@ -1,6 +1,5 @@
 //! The resident work-stealing pool.
 
-use crate::scope::{Scope, ScopeQueue};
 use crate::stats::{Counters, PoolStats};
 use crate::task::{panic_message, JoinError, JoinHandle, Slot};
 use pcor_faults::Faults;
@@ -11,7 +10,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// A type-erased unit of work.
-pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
+type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Monotone pool identities, so a thread can tell *which* pool it is a
 /// worker of (relevant when several pools coexist, e.g. in tests).
@@ -30,15 +29,13 @@ struct SleepState {
     shutdown: bool,
 }
 
-pub(crate) struct Shared {
-    pub(crate) id: u64,
+struct Shared {
+    id: u64,
     injector: Mutex<VecDeque<Job>>,
     locals: Vec<Mutex<VecDeque<Job>>>,
-    /// Queues of currently active scopes; they participate in stealing.
-    scopes: Mutex<Vec<Arc<ScopeQueue>>>,
     sleep: Mutex<SleepState>,
     wake: Condvar,
-    pub(crate) counters: Counters,
+    counters: Counters,
     /// Fault-injection handle consulted when a task starts
     /// ([`pcor_faults::site::POOL_TASK_START`]) and before a worker parks
     /// ([`pcor_faults::site::POOL_PARK`]). Disabled by default.
@@ -46,21 +43,13 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Wakes one parked worker (or banks a token if none is parked yet).
-    pub(crate) fn notify_one(&self) {
-        let mut sleep = self.sleep.lock().expect("pool sleep lock poisoned");
-        sleep.tokens = (sleep.tokens + 1).min(self.locals.len().max(1));
-        drop(sleep);
-        self.wake.notify_one();
-    }
-
     /// Pushes a job onto the calling worker's own deque when the caller is
     /// a worker of this pool, otherwise onto the global injector. Refuses
     /// (returning the job) when the pool is already shutting down: the
     /// check happens under the sleep lock — the same lock `shutdown` sets
     /// its flag under — so a job accepted here is ordered before the flag
     /// and is guaranteed to be drained by a worker before it exits.
-    pub(crate) fn push_job(&self, job: Job) -> std::result::Result<(), Job> {
+    fn push_job(&self, job: Job) -> std::result::Result<(), Job> {
         let mut sleep = self.sleep.lock().expect("pool sleep lock poisoned");
         if sleep.shutdown {
             return Err(job);
@@ -78,24 +67,15 @@ impl Shared {
     }
 
     /// The calling thread's worker index in this pool, if any.
-    pub(crate) fn current_worker_index(&self) -> Option<usize> {
+    fn current_worker_index(&self) -> Option<usize> {
         CURRENT_WORKER.with(|current| match current.get() {
             Some((pool, index)) if pool == self.id => Some(index),
             _ => None,
         })
     }
 
-    pub(crate) fn register_scope(&self, queue: &Arc<ScopeQueue>) {
-        self.scopes.lock().expect("scope registry poisoned").push(Arc::clone(queue));
-    }
-
-    pub(crate) fn deregister_scope(&self, queue: &Arc<ScopeQueue>) {
-        self.scopes.lock().expect("scope registry poisoned").retain(|q| !Arc::ptr_eq(q, queue));
-    }
-
     /// Finds the next job for `worker`: own deque (LIFO), injector (FIFO),
-    /// then stealing — active scope queues first (their tasks are short
-    /// fork-join shards), sibling deques last.
+    /// then stealing from sibling deques.
     fn find_job(&self, worker: usize) -> Option<Job> {
         if let Some(job) = self.locals[worker].lock().expect("worker deque poisoned").pop_back() {
             self.counters.depth.fetch_sub(1, Ordering::Relaxed);
@@ -104,16 +84,6 @@ impl Shared {
         if let Some(job) = self.injector.lock().expect("injector poisoned").pop_front() {
             self.counters.depth.fetch_sub(1, Ordering::Relaxed);
             return Some(job);
-        }
-        // Steal: snapshot the active scopes, then probe each queue.
-        let scopes: Vec<Arc<ScopeQueue>> =
-            self.scopes.lock().expect("scope registry poisoned").clone();
-        for queue in scopes {
-            if let Some(job) = queue.pop() {
-                self.counters.depth.fetch_sub(1, Ordering::Relaxed);
-                self.counters.stolen.fetch_add(1, Ordering::Relaxed);
-                return Some(job);
-            }
         }
         for (index, local) in self.locals.iter().enumerate() {
             if index == worker {
@@ -131,17 +101,16 @@ impl Shared {
     /// Runs one job with panic isolation, maintaining the counters.
     ///
     /// The `executed` counter is bumped *before* the job body runs: the
-    /// body is what publishes the task's result (handle fill, scope
-    /// completion), so counting afterwards would let an observer that
-    /// joined the task still read the old count — a race every caller
-    /// would have to paper over with polling.
+    /// body is what publishes the task's result (the handle fill), so
+    /// counting afterwards would let an observer that joined the task still
+    /// read the old count — a race every caller would have to paper over
+    /// with polling.
     ///
-    /// The spawn/scope wrappers catch their closure's panic themselves (to
-    /// route the payload into the handle or scope state) and bump the
-    /// `panicked` counter there; this outer catch is a safety net for a
-    /// panic escaping the wrapper logic itself, which must not take the
-    /// worker thread down either.
-    pub(crate) fn run_job(&self, job: Job) {
+    /// The spawn wrapper catches its closure's panic itself (to route the
+    /// payload into the handle) and bumps the `panicked` counter there;
+    /// this outer catch is a safety net for a panic escaping the wrapper
+    /// logic itself, which must not take the worker thread down either.
+    fn run_job(&self, job: Job) {
         self.counters.executed.fetch_add(1, Ordering::Relaxed);
         let faults = &self.faults;
         let body = move || {
@@ -192,9 +161,7 @@ impl Shared {
 ///
 /// See the [crate docs](crate) for the design; the short version: one deque
 /// per resident worker plus a global injector, stealing between them,
-/// parked idlers, panic-isolating [`JoinHandle`]s for free-standing tasks
-/// and a structured [`ThreadPool::scope`] for fork-join work over borrowed
-/// data in which the waiting caller helps execute.
+/// parked idlers and panic-isolating [`JoinHandle`]s for every task.
 pub struct ThreadPool {
     shared: Arc<Shared>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -218,7 +185,6 @@ impl ThreadPool {
             id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
             injector: Mutex::new(VecDeque::new()),
             locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            scopes: Mutex::new(Vec::new()),
             sleep: Mutex::new(SleepState { tokens: 0, shutdown: false }),
             wake: Condvar::new(),
             counters: Counters::default(),
@@ -234,13 +200,6 @@ impl ThreadPool {
             })
             .collect();
         ThreadPool { shared, threads: Mutex::new(threads), accepting: AtomicBool::new(true) }
-    }
-
-    /// Starts a pool sized to the machine: `available_parallelism` capped
-    /// at 8 (the same sizing the serving layer's worker pool used).
-    pub fn for_available_parallelism() -> Self {
-        let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8);
-        Self::new(workers)
     }
 
     /// Number of resident worker threads.
@@ -296,28 +255,8 @@ impl ThreadPool {
         JoinHandle::new(slot)
     }
 
-    /// Structured fork-join over borrowed data, in the mold of
-    /// [`std::thread::scope`]: tasks spawned on the [`Scope`] may borrow
-    /// anything that outlives the call, and `scope` does not return until
-    /// every spawned task has finished.
-    ///
-    /// The calling thread **helps execute** the scope's tasks while it
-    /// waits (idle pool workers steal them concurrently), so calling this
-    /// from inside a pool task cannot deadlock, and on a pool whose workers
-    /// are all busy — or shut down — it degrades to an inline serial loop.
-    ///
-    /// If a spawned task panics, the panic is re-raised here after all
-    /// tasks of the scope have finished (mirroring `std::thread::scope`).
-    pub fn scope<'env, T, F>(&self, f: F) -> T
-    where
-        F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> T,
-    {
-        crate::scope::run_scope(&self.shared, f)
-    }
-
-    /// Stops accepting free-standing tasks, lets the workers drain every
-    /// queued task, then joins them. Idempotent. [`ThreadPool::scope`]
-    /// keeps working after shutdown (the caller executes inline).
+    /// Stops accepting tasks, lets the workers drain every queued task, then
+    /// joins them. Idempotent.
     pub fn shutdown(&self) {
         self.accepting.store(false, Ordering::Release);
         {
@@ -355,7 +294,6 @@ impl std::fmt::Debug for ThreadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
 
     #[test]
@@ -382,68 +320,6 @@ mod tests {
         // The lone worker survived and keeps serving.
         assert_eq!(pool.spawn(|| "alive").join().unwrap(), "alive");
         assert_eq!(pool.stats().tasks_panicked, 1);
-    }
-
-    #[test]
-    fn scope_joins_borrowed_fork_join_work() {
-        let pool = ThreadPool::new(3);
-        let data: Vec<u64> = (0..1000).collect();
-        let mut partials = [0u64; 4];
-        pool.scope(|scope| {
-            for (chunk, slot) in data.chunks(250).zip(partials.iter_mut()) {
-                scope.spawn(move || *slot = chunk.iter().sum());
-            }
-        });
-        assert_eq!(partials.iter().sum::<u64>(), 499_500);
-    }
-
-    #[test]
-    fn nested_scopes_from_pool_tasks_do_not_deadlock() {
-        // A 1-worker pool forces the nested scope onto the helping path.
-        let pool = Arc::new(ThreadPool::new(1));
-        let inner_pool = Arc::clone(&pool);
-        let handle = pool.spawn(move || {
-            let mut out = [0usize; 2];
-            inner_pool.scope(|scope| {
-                let (a, b) = out.split_at_mut(1);
-                scope.spawn(|| a[0] = 1);
-                scope.spawn(|| b[0] = 2);
-            });
-            out[0] + out[1]
-        });
-        assert_eq!(handle.join().unwrap(), 3);
-    }
-
-    #[test]
-    fn scope_propagates_task_panics_after_joining_all() {
-        let pool = ThreadPool::new(2);
-        let ran = AtomicUsize::new(0);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|scope| {
-                scope.spawn(|| {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                    panic!("shard failed");
-                });
-                scope.spawn(|| {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                });
-            });
-        }));
-        assert!(result.is_err(), "the scope must re-raise the task panic");
-        // Both tasks ran to completion before the panic was re-raised.
-        assert_eq!(ran.load(Ordering::SeqCst), 2);
-        // The pool is still usable afterwards.
-        assert_eq!(pool.spawn(|| 5).join().unwrap(), 5);
-    }
-
-    #[test]
-    fn scope_works_even_after_shutdown() {
-        let pool = ThreadPool::new(2);
-        pool.shutdown();
-        assert!(matches!(pool.spawn(|| ()).join(), Err(JoinError::Shutdown)));
-        let mut x = 0;
-        pool.scope(|scope| scope.spawn(|| x = 9));
-        assert_eq!(x, 9);
     }
 
     #[test]
@@ -511,17 +387,6 @@ mod tests {
         // unwind finishes, which can trail the handle resolution.
         pool.shutdown();
         assert!(pool.stats().tasks_panicked >= 1);
-    }
-
-    #[test]
-    fn injected_scope_task_aborts_reraise_instead_of_hanging() {
-        use pcor_faults::{site, FaultKind, FaultPlan};
-        let faults = FaultPlan::seeded(7).at(site::POOL_TASK_START, 1, FaultKind::Panic).build();
-        let pool = ThreadPool::with_faults(1, faults);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|scope| scope.spawn(|| {}));
-        }));
-        assert!(outcome.is_err(), "the aborted scope task must re-raise, not hang or vanish");
     }
 
     #[test]

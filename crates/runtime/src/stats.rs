@@ -34,10 +34,10 @@ impl Counters {
 pub struct PoolStats {
     /// Number of resident worker threads.
     pub workers: usize,
-    /// Tasks currently queued (injector + worker deques + scope queues)
-    /// that no thread has started executing yet.
+    /// Tasks currently queued (injector + worker deques) that no thread
+    /// has started executing yet.
     pub queue_depth: usize,
-    /// Tasks ever submitted (spawns plus scope spawns).
+    /// Tasks ever submitted.
     pub tasks_submitted: u64,
     /// Tasks handed to a thread for execution (counted at pickup, so a
     /// task whose completion you have observed is always included;
@@ -45,7 +45,7 @@ pub struct PoolStats {
     pub tasks_executed: u64,
     /// Tasks executed by a thread other than the queue they were pushed to
     /// belongs to — injector pops by workers are not steals; taking from a
-    /// sibling worker's deque or from another caller's scope queue is.
+    /// sibling worker's deque is.
     pub tasks_stolen: u64,
     /// Tasks that panicked (isolated; the worker survived).
     pub tasks_panicked: u64,

@@ -5,7 +5,7 @@
 
 use pcor_dp::{MechanismKind, MechanismTally};
 use pcor_runtime::PoolStats;
-use pcor_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
+use pcor_telemetry::{Counter, Histogram, MetricsRegistry};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Duration;
@@ -29,7 +29,6 @@ pub(crate) struct ServerMetrics {
     failed: Arc<Counter>,
     /// Latency of requests that released; `sum() / served` is the mean.
     latency: Arc<Histogram>,
-    mean_latency_seconds: Arc<Gauge>,
     verification_calls: Arc<Counter>,
     verifier_lookups: Arc<Counter>,
     verifier_cache_hits: Arc<Counter>,
@@ -53,7 +52,6 @@ impl ServerMetrics {
         };
         for (name, help) in [
             ("pcor_release_latency_nanos", "End-to-end latency of requests that released."),
-            ("pcor_release_mean_latency_seconds", "Mean end-to-end release latency."),
             ("pcor_kernel_selected", "Dispatched fused-pass kernel (info gauge; value is 1)."),
             (
                 "pcor_kernel_bytes_scanned",
@@ -75,7 +73,6 @@ impl ServerMetrics {
             refused: counter("pcor_releases_refused", "Releases refused for insufficient budget."),
             failed: counter("pcor_releases_failed", "Releases failed for non-budget reasons."),
             latency: registry.histogram("pcor_release_latency_nanos", &[]),
-            mean_latency_seconds: registry.gauge("pcor_release_mean_latency_seconds", &[]),
             verification_calls: counter("pcor_verifier_calls", "Fresh f_M verification calls."),
             verifier_lookups: counter("pcor_verifier_lookups", "Verifier lookups, memo hits too."),
             verifier_cache_hits: counter("pcor_verifier_cache_hits", "Verifier memo hits."),
@@ -158,7 +155,6 @@ impl ServerMetrics {
         self.failed.add(failed);
         if released > 0 {
             self.latency.record_duration(latency);
-            self.mean_latency_seconds.set(self.mean_latency().as_secs_f64());
         }
     }
 
@@ -228,11 +224,10 @@ pub struct ServerMetricsSnapshot {
     pub pool_workers: usize,
     /// Tasks queued on the pool (not yet started) at snapshot time.
     pub pool_queue_depth: usize,
-    /// Tasks the pool has picked up for execution (requests, batch streams
-    /// and fork-join shards alike).
+    /// Tasks the pool has picked up for execution (one per request).
     pub pool_tasks_executed: u64,
     /// Tasks executed by a thread other than the queue owner's —
-    /// work-stealing activity between workers and fork-join scopes.
+    /// work-stealing activity between workers.
     pub pool_tasks_stolen: u64,
 }
 

@@ -1,15 +1,9 @@
-//! The release server: request execution on a shared work-stealing pool.
+//! The release server: request execution on a resident work-stealing pool.
 //!
-//! [`Server::start`] owns (or [`Server::start_with_pool`] borrows) a
-//! resident [`pcor_runtime::ThreadPool`] and submits every request as a
-//! task on it — there is no dedicated request thread per worker anymore,
-//! and the *same* pool that executes requests also executes the
-//! fork-join shards of the incremental verification engine (sessions are
-//! built with the pool attached, so `ShardPolicy::pooled` sharding and
-//! pooled COE enumeration engage for large datasets). One set of resident
-//! threads serves both inter-release concurrency and intra-release
-//! parallelism; the helping fork-join of `pcor-runtime` makes that nesting
-//! deadlock-free.
+//! [`Server::start`] owns a resident [`pcor_runtime::ThreadPool`] and
+//! submits every request as a task on it. Each release runs start to
+//! finish on the one worker that picked it up; concurrency comes from
+//! serving many requests at once, one per worker.
 //!
 //! Every request is a [`RequestEnvelope`]. [`Server::submit_envelope`]
 //! enqueues one and returns a [`PendingResponse`];
@@ -92,7 +86,7 @@ use std::time::Instant;
 /// Configuration of the server's execution pool.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Number of resident pool workers (when the server owns its pool).
+    /// Number of resident pool workers, and so of requests served at once.
     pub workers: usize,
     /// Maximum number of requests in flight (queued or executing) before
     /// [`Server::try_submit_envelope`] refuses and
@@ -440,9 +434,6 @@ impl Drop for PendingResponse {
 /// A concurrent multi-analyst PCOR release server.
 pub struct Server {
     pool: Arc<ThreadPool>,
-    /// Whether [`Server::shutdown`] also shuts the pool down (false when
-    /// the pool was borrowed via [`Server::start_with_pool`]).
-    owns_pool: bool,
     registry: Arc<DatasetRegistry>,
     ledger: Arc<BudgetLedger>,
     /// Present on servers started via [`Server::start_durable`]: the WAL
@@ -492,9 +483,53 @@ impl Server {
         ledger: Arc<BudgetLedger>,
     ) -> Self {
         let pool = Arc::new(ThreadPool::new(config.workers));
-        let mut server = Self::start_with_pool(config, pool, registry, ledger);
-        server.owns_pool = true;
-        server
+        // Reuse a telemetry bundle the ledger already carries — the durable
+        // startup path builds one around the *replayed* audit log, and a
+        // fresh bundle here would silently discard that history and its
+        // clock. A plain ledger gets a fresh bundle as before.
+        let telemetry = ledger.telemetry().unwrap_or_default();
+        // From here on, every ε movement through the ledger lands in the
+        // bundle's audit log and refreshes the per-account gauges.
+        ledger.attach_telemetry(telemetry.clone());
+        // The serving path counts straight into the bundle's registry; only
+        // the pool's and the dataset caches' own counters are copied in, by
+        // a collector at each scrape.
+        let metrics = Arc::new(ServerMetrics::register(telemetry.registry()));
+        {
+            let pool = Arc::clone(&pool);
+            let datasets = Arc::clone(&registry);
+            telemetry.register_collector(move |exporter| {
+                Self::publish_stats(exporter, &pool.stats(), &datasets.cache_stats());
+            });
+        }
+        let inflight = Inflight::new();
+        let accepting = Arc::new(AtomicBool::new(true));
+        // The readiness slice of the scrape. On a durable server the
+        // collector registered by `start_durable` runs later and overrides
+        // `pcor_ready` with the breaker folded in.
+        {
+            let inflight = Arc::clone(&inflight);
+            let accepting = Arc::clone(&accepting);
+            telemetry.register_collector(move |exporter| {
+                exporter.set_help("pcor_ready", "1 when the server would pass a readiness probe.");
+                let up = accepting.load(Ordering::Acquire);
+                exporter.gauge("pcor_accepting", &[]).set(if up { 1.0 } else { 0.0 });
+                exporter.gauge("pcor_inflight_requests", &[]).set(inflight.current() as f64);
+                exporter.gauge("pcor_ready", &[]).set(if up { 1.0 } else { 0.0 });
+            });
+        }
+        Server {
+            pool,
+            registry,
+            ledger,
+            durable: None,
+            metrics,
+            telemetry,
+            inflight,
+            accepting,
+            queue_capacity: config.queue_capacity,
+            faults: config.faults,
+        }
     }
 
     /// Starts a server whose budget ledger is the given crash-safe
@@ -534,67 +569,8 @@ impl Server {
         server
     }
 
-    /// Starts a server on a borrowed pool — the seam for sharing one
-    /// resident pool between the server and other pool users (shutdown
-    /// then drains this server's requests but leaves the pool running).
-    pub fn start_with_pool(
-        config: ServerConfig,
-        pool: Arc<ThreadPool>,
-        registry: Arc<DatasetRegistry>,
-        ledger: Arc<BudgetLedger>,
-    ) -> Self {
-        // Reuse a telemetry bundle the ledger already carries — the durable
-        // startup path builds one around the *replayed* audit log, and a
-        // fresh bundle here would silently discard that history and its
-        // clock. A plain ledger gets a fresh bundle as before.
-        let telemetry = ledger.telemetry().unwrap_or_default();
-        // From here on, every ε movement through the ledger lands in the
-        // bundle's audit log and refreshes the per-account gauges.
-        ledger.attach_telemetry(telemetry.clone());
-        // The serving path counts straight into the bundle's registry; only
-        // the pool's and the dataset caches' own counters are copied in, by
-        // a collector at each scrape.
-        let metrics = Arc::new(ServerMetrics::register(telemetry.registry()));
-        {
-            let pool = Arc::clone(&pool);
-            let datasets = Arc::clone(&registry);
-            telemetry.register_collector(move |exporter| {
-                Self::publish_stats(exporter, &pool.stats(), &datasets.cache_stats());
-            });
-        }
-        let inflight = Inflight::new();
-        let accepting = Arc::new(AtomicBool::new(true));
-        // The readiness slice of the scrape. On a durable server the
-        // collector registered by `start_durable` runs later and overrides
-        // `pcor_ready` with the breaker folded in.
-        {
-            let inflight = Arc::clone(&inflight);
-            let accepting = Arc::clone(&accepting);
-            telemetry.register_collector(move |exporter| {
-                exporter.set_help("pcor_ready", "1 when the server would pass a readiness probe.");
-                let up = accepting.load(Ordering::Acquire);
-                exporter.gauge("pcor_accepting", &[]).set(if up { 1.0 } else { 0.0 });
-                exporter.gauge("pcor_inflight_requests", &[]).set(inflight.current() as f64);
-                exporter.gauge("pcor_ready", &[]).set(if up { 1.0 } else { 0.0 });
-            });
-        }
-        Server {
-            pool,
-            owns_pool: false,
-            registry,
-            ledger,
-            durable: None,
-            metrics,
-            telemetry,
-            inflight,
-            accepting,
-            queue_capacity: config.queue_capacity,
-            faults: config.faults,
-        }
-    }
-
     /// Copies the pool's and the dataset caches' own counters into gauges at
-    /// scrape time (the collector registered in [`Server::start_with_pool`]):
+    /// scrape time (the collector registered in [`Server::start`]):
     /// the serving path does not see them change.
     fn publish_stats(exporter: &MetricsRegistry, pool: &PoolStats, cache: &CacheStats) {
         exporter.set_help("pcor_cache_evictions", "Entries evicted by the GreedyDual policy.");
@@ -821,8 +797,7 @@ impl Server {
         self.durable.as_ref()
     }
 
-    /// The resident pool executing this server's requests (and the
-    /// verification engine's fork-join shards).
+    /// The resident pool executing this server's requests.
     pub fn pool(&self) -> &Arc<ThreadPool> {
         &self.pool
     }
@@ -869,8 +844,7 @@ impl Server {
     }
 
     /// Stops accepting requests, waits for everything in flight to resolve
-    /// and — when the server owns its pool — shuts the pool down.
-    /// Idempotent.
+    /// and shuts the pool down. Idempotent.
     pub fn shutdown(&self) {
         let was_accepting = self.accepting.swap(false, Ordering::AcqRel);
         self.inflight.drain();
@@ -883,9 +857,7 @@ impl Server {
                 let _ = durable.checkpoint(Some(&self.registry));
             }
         }
-        if self.owns_pool {
-            self.pool.shutdown();
-        }
+        self.pool.shutdown();
     }
 }
 
@@ -982,8 +954,8 @@ impl Task {
     }
 
     /// Serves one validated envelope on the calling pool worker, a single
-    /// as a one-item batch: one summed-ε reservation, one shared
-    /// (pool-attached) release session, per-item resolution and one
+    /// as a one-item batch: one summed-ε reservation, one shared release
+    /// session, per-item resolution and one
     /// partial commit. `parent` (the root "server" span) threads causality
     /// down into the ledger, session and verifier spans. `sink` sees a
     /// batch's finished items after each one (a single never calls it);
@@ -1038,13 +1010,11 @@ impl Task {
             }
         })?;
 
-        // One session for the whole request: the detector is built once,
-        // every record's memoized verifier is shared across items, and the
-        // server's resident pool backs the engine's sharded passes.
+        // One session for the whole request: the detector is built once and
+        // every record's memoized verifier is shared across items.
         let detector = batch.detector.build();
         let utility = PopulationSizeUtility;
         let mut builder = ReleaseSession::builder(entry.dataset(), detector.as_ref(), &utility)
-            .pool(Arc::clone(&self.pool))
             .trace_context(self.telemetry.clone(), self.trace, Some(parent));
         if let Some(token) = &self.cancel {
             builder = builder.cancel_token(token.clone());
@@ -1442,25 +1412,6 @@ mod tests {
             server.submit_envelope(RequestEnvelope::batch(toy_batch("alice", &[0, 0]))),
             Err(ServiceError::Shutdown)
         ));
-    }
-
-    #[test]
-    fn servers_can_share_one_resident_pool() {
-        let pool = Arc::new(ThreadPool::new(2));
-        let registry = Arc::new(DatasetRegistry::new());
-        registry.register("toy", toy_dataset());
-        let ledger = Arc::new(BudgetLedger::new(10.0));
-        let server = Server::start_with_pool(
-            ServerConfig::default().with_workers(2),
-            Arc::clone(&pool),
-            Arc::clone(&registry),
-            Arc::clone(&ledger),
-        );
-        server.execute(toy_request("alice", 3)).unwrap();
-        // Shutting the server down drains its requests but leaves the
-        // borrowed pool running for other users.
-        server.shutdown();
-        assert_eq!(pool.spawn(|| 11).join().unwrap(), 11);
     }
 
     use crate::request::{BatchItem, BatchReleaseRequest, RequestEnvelope};

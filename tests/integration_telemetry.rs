@@ -168,7 +168,6 @@ fn a_batch_release_is_fully_observable_in_one_scrape() {
     assert_prometheus_parses(&scrape);
     for name in [
         "pcor_releases_served",
-        "pcor_release_mean_latency_seconds",
         "pcor_verifier_calls",
         "pcor_verifier_words_scanned",
         "pcor_verifier_bytes_scanned",
