@@ -8,8 +8,11 @@
 //!   table2 .. table13   the corresponding table (paired tables run together)
 //!   figure1 .. figure5  the experiment behind the corresponding figure
 //!   sampling overlap detectors epsilon samples coe-salary coe-homicide
-//!   ratio direct figures service batch verify pool mechanisms wal net
+//!   ratio direct figures mechanisms wal
 //! ```
+//!
+//! Exits 2 on a bad selector or scale, and 1 when an experiment fails or the
+//! `--json` results cannot be written.
 //!
 //! Examples:
 //!
@@ -19,40 +22,12 @@
 //! cargo run --release -p pcor-bench --bin reproduce -- --json results.json all
 //! ```
 
-use pcor_bench::experiments::{self, ExperimentId, ExperimentOutput};
+use pcor_bench::experiments::{self, ExperimentId, ExperimentOutput, RunEnvironment};
 use pcor_bench::ExperimentScale;
-use std::alloc::{GlobalAlloc, Layout, System};
+use std::process::ExitCode;
 use std::time::Instant;
 
-/// System allocator wrapper feeding `pcor_bench::alloc_probe` so experiments
-/// (notably `verify-hotpath`) can report allocations per call. Counting is
-/// one relaxed atomic increment per allocation — noise for the wall-clock
-/// numbers, which measure µs-scale sections.
-struct CountingAllocator;
-
-// SAFETY: delegates allocation verbatim to `System`; the only addition is a
-// side-effect-free atomic counter bump.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        pcor_bench::alloc_probe::note_alloc();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        pcor_bench::alloc_probe::note_alloc();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn main() {
-    pcor_bench::alloc_probe::mark_installed();
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = ExperimentScale::quick();
     let mut selectors: Vec<String> = Vec::new();
@@ -68,7 +43,7 @@ fn main() {
                     Some(s) => scale = s,
                     None => {
                         eprintln!("unknown scale '{name}' (expected smoke, quick or paper)");
-                        std::process::exit(2);
+                        return ExitCode::from(2);
                     }
                 }
             }
@@ -77,7 +52,7 @@ fn main() {
                 json_path = args.get(i).cloned();
                 if json_path.is_none() {
                     eprintln!("--json requires a path");
-                    std::process::exit(2);
+                    return ExitCode::from(2);
                 }
             }
             "--help" | "-h" => {
@@ -88,8 +63,8 @@ fn main() {
                 println!(
                     "           detectors, epsilon, samples, coe-salary, coe-homicide, ratio,"
                 );
-                println!("           direct, service, batch, verify, pool, mechanisms, wal");
-                return;
+                println!("           direct, figures, mechanisms, wal");
+                return ExitCode::SUCCESS;
             }
             other => selectors.push(other.to_string()),
         }
@@ -104,7 +79,7 @@ fn main() {
         let parsed = ExperimentId::parse(selector);
         if parsed.is_empty() {
             eprintln!("unknown experiment selector '{selector}' (try --help)");
-            std::process::exit(2);
+            return ExitCode::from(2);
         }
         for id in parsed {
             if !ids.contains(&id) {
@@ -119,6 +94,7 @@ fn main() {
     );
 
     let mut combined = ExperimentOutput::default();
+    let mut failed = false;
     for id in ids {
         println!(">>> running {id}");
         let start = Instant::now();
@@ -130,20 +106,30 @@ fn main() {
             }
             Err(err) => {
                 eprintln!("    FAILED: {err}\n");
+                failed = true;
             }
         }
     }
 
     if let Some(path) = json_path {
+        combined.environment = Some(RunEnvironment::current(&scale));
         match serde_json::to_string_pretty(&combined) {
-            Ok(json) => {
-                if let Err(err) = std::fs::write(&path, json) {
+            Ok(json) => match std::fs::write(&path, json) {
+                Ok(()) => println!("wrote results to {path}"),
+                Err(err) => {
                     eprintln!("could not write {path}: {err}");
-                } else {
-                    println!("wrote results to {path}");
+                    failed = true;
                 }
+            },
+            Err(err) => {
+                eprintln!("could not serialize results: {err}");
+                failed = true;
             }
-            Err(err) => eprintln!("could not serialize results: {err}"),
         }
+    }
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
 }

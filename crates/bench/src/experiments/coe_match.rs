@@ -4,9 +4,8 @@
 //! workloads.
 //!
 //! The paper does not spell out its set-match measure; we report the Jaccard
-//! similarity `|COE(D) ∩ COE(D')| / |COE(D) ∪ COE(D')|` (documented in
-//! EXPERIMENTS.md), which equals 100% exactly when the OCDP assumption
-//! `COE(D) = COE(D')` holds.
+//! similarity `|COE(D) ∩ COE(D')| / |COE(D) ∪ COE(D')|`, which equals 100%
+//! exactly when the OCDP assumption `COE(D) = COE(D')` holds.
 
 use crate::config::ExperimentScale;
 use crate::report::Table;

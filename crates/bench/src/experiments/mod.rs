@@ -10,44 +10,46 @@
 //! | [`coe_match`] | Tables 12–13 — COE match under group privacy |
 //! | [`ratio_check`] | Section 6.7 — empirical `e^ε` ratio check |
 //! | [`direct_vs_sampling`] | Section 1.2 headline — direct approach vs. BFS |
-//! | [`service_throughput`] | (beyond the paper) `pcor-service` throughput vs. worker count |
-//! | [`batch`] | (beyond the paper) batched releases vs. equivalent singles |
-//! | [`verify_hotpath`] | (beyond the paper) `f_M` evaluation engines: from-scratch vs. incremental |
 //! | [`mechanisms`] | (beyond the paper) DP selection mechanisms at equal ε: Exponential vs permute-and-flip vs report-noisy-max |
 //! | [`wal`] | (beyond the paper) WAL durability: append throughput per fsync policy, replay vs checkpointed replay |
-//! | [`net`] | (beyond the paper) `pcor-net` reactor: frames/sec, p99 round trip and shed rate vs connections × in-flight |
 
-pub mod batch;
 pub mod coe_match;
 pub mod detectors;
 pub mod direct_vs_sampling;
 pub mod epsilon_sweep;
 pub mod mechanisms;
-pub mod net;
 pub mod overlap;
 pub mod ratio_check;
 pub mod samples_sweep;
 pub mod sampling;
-pub mod service_throughput;
-pub mod verify_hotpath;
 pub mod wal;
 
+use crate::config::ExperimentScale;
 use crate::report::{Histogram, Table};
 use serde::{Deserialize, Serialize};
 
-/// Machine context a benchmark run was measured under, persisted alongside
-/// the tables so a committed `BENCH_*.json` is interpretable later: the same
-/// bytes/sec means something different on 1 core without AVX-512 than on 32
-/// cores with it.
+/// Machine context a run was measured under, persisted alongside the tables
+/// so a committed `BENCH_*.json` is interpretable later: the same
+/// records/sec means something different on 1 core than on 32.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunEnvironment {
     /// Logical CPUs visible to the process (`nproc`).
     pub nproc: usize,
     /// The fused-pass kernel the dispatcher selected (`PCOR_KERNEL` respected).
     pub kernel: String,
-    /// Measured STREAM-triad memory bandwidth in bytes/sec — the denominator
-    /// of the `% membw` column in the kernel table.
-    pub triad_bytes_per_sec: f64,
+    /// The scale every experiment of the run used.
+    pub scale: ExperimentScale,
+}
+
+impl RunEnvironment {
+    /// The environment of this process, running at `scale`.
+    pub fn current(scale: &ExperimentScale) -> Self {
+        RunEnvironment {
+            nproc: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
+            kernel: pcor_data::kernel::selected().name().to_string(),
+            scale: scale.clone(),
+        }
+    }
 }
 
 /// The output of one experiment: paper-style tables plus the histogram series
@@ -58,20 +60,16 @@ pub struct ExperimentOutput {
     pub tables: Vec<Table>,
     /// Histogram series (figures).
     pub figures: Vec<Histogram>,
-    /// Machine context, when the experiment measured it (absent in older
-    /// `BENCH_*.json` files; missing fields deserialize to `None`).
+    /// Machine context of the run; `reproduce` stamps it on every `--json`
+    /// write, experiments leave it `None`.
     pub environment: Option<RunEnvironment>,
 }
 
 impl ExperimentOutput {
-    /// Merges another output into this one. The first measured environment
-    /// wins — all experiments in one invocation ran on the same machine.
+    /// Merges another output's tables and figures into this one.
     pub fn extend(&mut self, other: ExperimentOutput) {
         self.tables.extend(other.tables);
         self.figures.extend(other.figures);
-        if self.environment.is_none() {
-            self.environment = other.environment;
-        }
     }
 }
 
@@ -108,22 +106,12 @@ pub enum ExperimentId {
     RatioCheck,
     /// Section 1.2 direct-vs-BFS headline.
     Direct,
-    /// Serving-layer throughput vs. worker count (beyond the paper).
-    ServiceThroughput,
-    /// Batched releases vs. equivalent single requests (beyond the paper).
-    BatchVsSingles,
-    /// `f_M` verification engines: from-scratch vs. incremental
-    /// (beyond the paper).
-    VerifyHotpath,
     /// DP selection mechanisms at equal ε: Exponential vs permute-and-flip
     /// vs report-noisy-max (beyond the paper).
     Mechanisms,
     /// WAL durability: append throughput per fsync policy and replay cost
     /// with/without checkpoints (beyond the paper).
     Wal,
-    /// Reactor wire front: frames/sec, p99 round trip and shed rate across
-    /// connections × pipelined in-flight envelopes (beyond the paper).
-    Net,
 }
 
 impl ExperimentId {
@@ -139,12 +127,8 @@ impl ExperimentId {
             ExperimentId::CoeMatchHomicide,
             ExperimentId::RatioCheck,
             ExperimentId::Direct,
-            ExperimentId::ServiceThroughput,
-            ExperimentId::BatchVsSingles,
-            ExperimentId::VerifyHotpath,
             ExperimentId::Mechanisms,
             ExperimentId::Wal,
-            ExperimentId::Net,
         ]
     }
 
@@ -161,12 +145,8 @@ impl ExperimentId {
             "table13" | "coe-homicide" => vec![ExperimentId::CoeMatchHomicide],
             "ratio" => vec![ExperimentId::RatioCheck],
             "direct" => vec![ExperimentId::Direct],
-            "service" | "throughput" => vec![ExperimentId::ServiceThroughput],
-            "batch" | "batch-vs-singles" => vec![ExperimentId::BatchVsSingles],
-            "verify" | "verify-hotpath" | "hotpath" => vec![ExperimentId::VerifyHotpath],
             "mechanisms" | "mechanism" => vec![ExperimentId::Mechanisms],
             "wal" | "durability" | "wal-replay" => vec![ExperimentId::Wal],
-            "net" | "reactor" | "wire" => vec![ExperimentId::Net],
             "figures" => vec![
                 ExperimentId::Sampling,
                 ExperimentId::Overlap,
@@ -191,19 +171,11 @@ impl std::fmt::Display for ExperimentId {
             ExperimentId::CoeMatchHomicide => "COE match, homicide (Table 13)",
             ExperimentId::RatioCheck => "empirical ratio check (Section 6.7)",
             ExperimentId::Direct => "direct vs BFS (Section 1.2)",
-            ExperimentId::ServiceThroughput => "service throughput vs workers (pcor-service)",
-            ExperimentId::BatchVsSingles => "batched releases vs equivalent singles (pcor-service)",
-            ExperimentId::VerifyHotpath => {
-                "verify hot path: f_M evaluation engines (pcor-data/core)"
-            }
             ExperimentId::Mechanisms => {
                 "selection mechanisms at equal eps: EM vs PF vs RNM (pcor-dp/core)"
             }
             ExperimentId::Wal => {
                 "WAL durability: fsync policies + checkpointed replay (pcor-wal/service)"
-            }
-            ExperimentId::Net => {
-                "reactor wire front: frames/sec, p99 RTT, shed rate (pcor-net/service)"
             }
         };
         write!(f, "{name}")
@@ -225,12 +197,8 @@ pub fn run(id: ExperimentId, scale: &crate::ExperimentScale) -> crate::Result<Ex
         ExperimentId::CoeMatchHomicide => coe_match::run_homicide(scale),
         ExperimentId::RatioCheck => ratio_check::run(scale),
         ExperimentId::Direct => direct_vs_sampling::run(scale),
-        ExperimentId::ServiceThroughput => service_throughput::run(scale),
-        ExperimentId::BatchVsSingles => batch::run(scale),
-        ExperimentId::VerifyHotpath => verify_hotpath::run(scale),
         ExperimentId::Mechanisms => mechanisms::run(scale),
         ExperimentId::Wal => wal::run(scale),
-        ExperimentId::Net => net::run(scale),
     }
 }
 
@@ -246,16 +214,8 @@ mod tests {
         assert_eq!(ExperimentId::parse("table13"), vec![ExperimentId::CoeMatchHomicide]);
         assert_eq!(ExperimentId::parse("ratio"), vec![ExperimentId::RatioCheck]);
         assert_eq!(ExperimentId::parse("direct"), vec![ExperimentId::Direct]);
-        assert_eq!(ExperimentId::parse("service"), vec![ExperimentId::ServiceThroughput]);
-        assert_eq!(ExperimentId::parse("throughput"), vec![ExperimentId::ServiceThroughput]);
-        assert_eq!(ExperimentId::parse("batch"), vec![ExperimentId::BatchVsSingles]);
-        assert_eq!(ExperimentId::parse("batch-vs-singles"), vec![ExperimentId::BatchVsSingles]);
-        assert_eq!(ExperimentId::parse("verify"), vec![ExperimentId::VerifyHotpath]);
-        assert_eq!(ExperimentId::parse("verify-hotpath"), vec![ExperimentId::VerifyHotpath]);
         assert_eq!(ExperimentId::parse("mechanisms"), vec![ExperimentId::Mechanisms]);
         assert_eq!(ExperimentId::parse("mechanism"), vec![ExperimentId::Mechanisms]);
-        assert_eq!(ExperimentId::parse("net"), vec![ExperimentId::Net]);
-        assert_eq!(ExperimentId::parse("reactor"), vec![ExperimentId::Net]);
         assert_eq!(ExperimentId::parse("figures").len(), 5);
         assert!(ExperimentId::parse("nonsense").is_empty());
         for id in ExperimentId::all() {
@@ -273,5 +233,26 @@ mod tests {
         assert_eq!(a.tables.len(), 1);
         assert_eq!(a.figures.len(), 1);
         assert!(a.to_string().contains('T'));
+    }
+
+    #[test]
+    fn committed_bench_files_record_their_environment() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files = 0;
+        for entry in std::fs::read_dir(&root).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            files += 1;
+            let text = std::fs::read_to_string(&path).unwrap();
+            let output: ExperimentOutput =
+                serde_json::from_str(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let env = output.environment.unwrap_or_else(|| panic!("{name}: no environment"));
+            assert!(env.nproc >= 1, "{name}: nproc {}", env.nproc);
+            assert!(!env.kernel.is_empty(), "{name}: empty kernel");
+        }
+        assert!(files > 0, "no BENCH_*.json under {}", root.display());
     }
 }

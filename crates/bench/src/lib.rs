@@ -13,17 +13,18 @@
 //! settings are available through [`config::ExperimentScale::paper`] for
 //! anyone with the patience.
 //!
-//! See `DESIGN.md` (per-experiment index) and `EXPERIMENTS.md` (paper vs.
-//! measured numbers) at the repository root.
+//! Two experiments go beyond the paper, because they measure what the
+//! end-to-end release benchmark (`releasebench/`) cannot: the exact output
+//! distributions of the DP selection mechanisms
+//! ([`experiments::mechanisms`]) and the WAL's fsync-policy and replay
+//! sweep ([`experiments::wal`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alloc_probe;
 pub mod config;
 pub mod experiments;
 pub mod measure;
-pub mod membw;
 pub mod report;
 pub mod workloads;
 

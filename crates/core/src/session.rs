@@ -442,16 +442,23 @@ impl<'a> ReleaseSession<'a> {
         }
     }
 
+    /// The memoized verifier of `record_id`, created on first use.
     fn verifier(&mut self, record_id: usize) -> &mut Verifier<'a> {
-        let (dataset, detector, utility) = (self.dataset, self.detector, self.utility);
-        let cancel = self.cancel.as_ref();
-        self.verifiers.entry(record_id).or_insert_with(|| {
-            let mut verifier = Verifier::new(dataset, detector, utility, record_id);
-            if let Some(token) = cancel {
-                verifier.set_cancel_token(token.clone());
-            }
-            verifier
-        })
+        if !self.verifiers.contains_key(&record_id) {
+            let verifier = self.new_verifier(record_id);
+            self.verifiers.insert(record_id, verifier);
+        }
+        self.verifiers.get_mut(&record_id).expect("inserted above")
+    }
+
+    /// A fresh verifier for `record_id` that honours the session's cancel
+    /// token. Every verifier the session runs is built here.
+    fn new_verifier(&self, record_id: usize) -> Verifier<'a> {
+        let mut verifier = Verifier::new(self.dataset, self.detector, self.utility, record_id);
+        if let Some(token) = &self.cancel {
+            verifier.set_cancel_token(token.clone());
+        }
+        verifier
     }
 
     /// Runs one release for `record_id`, seeding the RNG from the session's
@@ -641,7 +648,7 @@ impl<'a> ReleaseSession<'a> {
             let mut scratch = if self.verifiers.contains_key(&record_id) {
                 None
             } else {
-                Some(Verifier::new(self.dataset, self.detector, self.utility, record_id))
+                Some(self.new_verifier(record_id))
             };
             let verifier = match scratch.as_mut() {
                 Some(verifier) => verifier,
@@ -1012,6 +1019,33 @@ mod tests {
             assert_eq!(outcome, Err(PcorError::Cancelled), "{algorithm:?}");
             assert_eq!(session.stats().verification_calls, warm_calls, "{algorithm:?}");
         }
+    }
+
+    #[test]
+    fn tripped_cancel_tokens_stop_outlier_scans() {
+        let d = dataset();
+        let detector = ZScoreDetector::new(2.5);
+        let utility = PopulationSizeUtility;
+        let token = CancelToken::new();
+        token.cancel();
+        let mut session =
+            ReleaseSession::builder(&d, &detector, &utility).cancel_token(token).build();
+        assert_eq!(session.find_outliers(1, 200), Err(PcorError::Cancelled));
+        assert_eq!(session.stats().verification_calls, 0);
+    }
+
+    #[test]
+    fn records_found_by_an_outlier_scan_honour_the_cancel_token() {
+        let d = dataset();
+        let detector = ZScoreDetector::new(2.5);
+        let utility = PopulationSizeUtility;
+        let token = CancelToken::new();
+        let mut session =
+            ReleaseSession::builder(&d, &detector, &utility).cancel_token(token.clone()).build();
+        let found = session.find_outliers(1, 200).unwrap();
+        token.cancel();
+        let spec = ReleaseSpec::new(SamplingAlgorithm::Bfs, 0.2).with_samples(8);
+        assert_eq!(session.release(found[0].record_id, &spec), Err(PcorError::Cancelled));
     }
 
     #[test]

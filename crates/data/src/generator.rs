@@ -14,8 +14,7 @@
 //! *contextual outliers* — records whose metric is normal globally but extreme
 //! within their own categorical subgroup. PCOR only ever observes the data
 //! through categorical filtering and the metric column handed to a detector,
-//! so this preserves the behaviour the paper measures (see DESIGN.md,
-//! "Substitutions").
+//! so this preserves the behaviour the paper measures.
 
 use crate::dataset::Dataset;
 use crate::record::Record;

@@ -181,8 +181,9 @@ impl<'a> PopulationCursor<'a> {
 
     /// Total bitmap words read by the cursor's fused AND/popcount passes so
     /// far (each pass reads `words × attribute count` words; ×8 gives the
-    /// bytes the hot loop touched). Telemetry feeds this into the
-    /// `verify-hotpath` bytes/sec figure.
+    /// bytes the hot loop touched). The server counts it into
+    /// `pcor_verifier_words_scanned`; releasebench reports it per `f_M`
+    /// call as `data.words_per_fmcall`.
     pub fn words_scanned(&self) -> u64 {
         self.words_scanned
     }
