@@ -7,18 +7,19 @@
 //!
 //! 1. **What does durability cost on the write path?** Appending the same
 //!    budget-event records under each [`FsyncPolicy`]: `every_record` is
-//!    the upper bound (one `fdatasync` per acknowledged record),
-//!    `every_n` amortizes, `on_commit` (the default) syncs only at commit
-//!    points — the two-phase protocol's natural durability boundary.
+//!    the upper bound (one `fdatasync` per acknowledged record), and
+//!    `on_commit` (the default) syncs only at commit points — the
+//!    two-phase protocol's natural durability boundary.
 //! 2. **What does recovery cost on startup?** Replay is linear in the
 //!    events scanned, so an uncheckpointed log replays its whole history
 //!    while a checkpointed one replays `O(checkpoint + tail)`. The sweep
 //!    measures both on the same history; the summary reports the
 //!    speedup. Results land in `BENCH_wal.json` via `reproduce --json`.
-//! 3. **Does group commit pay under concurrency?** Concurrent committers
-//!    drive reserve/commit pairs through the [`DurableLedger`] with the
-//!    leader/follower fsync coalescing on and off; the off rows are the
-//!    pre-group in-lock-fsync baseline.
+//! 3. **How far does group commit coalesce under concurrency?**
+//!    Concurrent committers drive reserve/commit pairs through the
+//!    [`DurableLedger`], whose leader/follower protocol shares one fsync
+//!    among the commits that land while a flush is pending; the rows
+//!    report commits/sec and the fsyncs they cost.
 
 use crate::config::ExperimentScale;
 use crate::report::Table;
@@ -94,14 +95,11 @@ fn measure_append(records: usize, policy: FsyncPolicy) -> Result<(f64, u64, u64)
     Ok((stats.appended_records as f64 / elapsed.max(1e-12), stats.fsyncs, stats.appended_bytes))
 }
 
-/// Builds a log of `events` raw journal records (fast, minimal syncing),
-/// ready for replay measurement.
+/// Builds a log of `events` raw journal records, ready for replay
+/// measurement. No record is a commit point, so under `OnCommit` the only
+/// fsync is the final explicit one.
 fn build_history(dir: &Path, events: usize) -> Result<()> {
-    let options = WalOptions {
-        dir: dir.to_path_buf(),
-        fsync: FsyncPolicy::EveryNRecords(1 << 20),
-        ..WalOptions::default()
-    };
+    let options = WalOptions { dir: dir.to_path_buf(), ..WalOptions::default() };
     let (mut wal, _) = Wal::open(options).map_err(wal_error)?;
     for pair in 0..(events as u64 / 2) {
         let [reserved, committed] = event_pair(pair * 2, pair + 1);
@@ -113,16 +111,12 @@ fn build_history(dir: &Path, events: usize) -> Result<()> {
 }
 
 /// Drives `committers` threads through a [`DurableLedger`], each issuing
-/// `pairs` reserve/commit pairs, and returns (commits/sec, fsyncs).
-///
-/// With `group_commit` the journal coalesces concurrent commit fsyncs
-/// through the [`GroupWal`](pcor_wal::GroupWal) leader/follower protocol;
-/// without it every committer syncs inside the journal lock — the
-/// pre-group baseline.
-fn measure_group_commit(committers: usize, pairs: usize, group_commit: bool) -> Result<(f64, u64)> {
+/// `pairs` reserve/commit pairs, and returns (commits/sec, fsyncs). The
+/// journal coalesces concurrent commit fsyncs through the
+/// [`GroupWal`](pcor_wal::GroupWal) leader/follower protocol.
+fn measure_concurrent_commits(committers: usize, pairs: usize) -> Result<(f64, u64)> {
     let dir = scratch_dir("group");
     let config = WalConfig {
-        group_commit,
         // No auto-checkpoints: the measurement is pure append + fsync.
         checkpoint_interval: 0,
         ..WalConfig::at(dir.clone())
@@ -203,9 +197,7 @@ pub fn run(scale: &ExperimentScale) -> Result<ExperimentOutput> {
         ),
         &["Policy", "records/sec", "fsyncs", "bytes", "MB/s"],
     );
-    let policies =
-        [FsyncPolicy::EveryRecord, FsyncPolicy::EveryNRecords(64), FsyncPolicy::OnCommit];
-    for policy in policies {
+    for policy in [FsyncPolicy::EveryRecord, FsyncPolicy::OnCommit] {
         let (rate, fsyncs, bytes) = measure_append(append_records, policy)?;
         let mbps = bytes as f64 / (append_records as f64 / rate.max(1e-12)) / 1e6;
         append_table.push_row(vec![
@@ -295,24 +287,21 @@ pub fn run(scale: &ExperimentScale) -> Result<ExperimentOutput> {
         summary.push_row(vec![events.to_string(), format!("{speedup:.1}x")]);
     }
 
-    // ---- Cross-request group commit vs in-lock fsync. ----
+    // ---- Cross-request group commit. ----
     let mut group_table = Table::new(
         format!(
             "Group commit: concurrent committers through the durable ledger \
              ({commit_pairs} reserve/commit pairs per committer, fsync on commit)"
         ),
-        &["committers", "Variant", "commits/sec", "fsyncs"],
+        &["committers", "commits/sec", "fsyncs"],
     );
     for &committers in committer_sweep {
-        for group in [true, false] {
-            let (rate, fsyncs) = measure_group_commit(committers, commit_pairs, group)?;
-            group_table.push_row(vec![
-                committers.to_string(),
-                if group { "group commit" } else { "in-lock fsync" }.to_string(),
-                format!("{rate:.0}"),
-                fsyncs.to_string(),
-            ]);
-        }
+        let (rate, fsyncs) = measure_concurrent_commits(committers, commit_pairs)?;
+        group_table.push_row(vec![
+            committers.to_string(),
+            format!("{rate:.0}"),
+            fsyncs.to_string(),
+        ]);
     }
 
     Ok(ExperimentOutput {
@@ -332,8 +321,8 @@ mod tests {
         let scale = ExperimentScale::smoke();
         let output = run(&scale).expect("wal experiment");
         assert_eq!(output.tables.len(), 4);
-        // 3 fsync policies.
-        assert_eq!(output.tables[0].rows.len(), 3);
+        // 2 fsync policies.
+        assert_eq!(output.tables[0].rows.len(), 2);
         for row in &output.tables[0].rows {
             let rate: f64 = row[1].parse().unwrap();
             assert!(rate > 0.0, "policy {} reported no throughput", row[0]);
@@ -348,13 +337,13 @@ mod tests {
             assert!(tail < full, "the checkpoint must bound the replayed tail");
         }
         assert_eq!(output.tables[2].rows.len(), 2);
-        // 2 committer counts x {group commit, in-lock fsync}; every
-        // variant moves commits (the ε digest is hard-checked inside
-        // `run`, so a passing row proves zero lost commits too).
-        assert_eq!(output.tables[3].rows.len(), 4);
+        // 2 committer counts; every row moves commits (the ε digest is
+        // hard-checked inside `run`, so a passing row proves zero lost
+        // commits too).
+        assert_eq!(output.tables[3].rows.len(), 2);
         for row in &output.tables[3].rows {
-            let rate: f64 = row[2].parse().unwrap();
-            assert!(rate > 0.0, "{} committers ({}) reported no throughput", row[0], row[1]);
+            let rate: f64 = row[1].parse().unwrap();
+            assert!(rate > 0.0, "{} committers reported no throughput", row[0]);
         }
     }
 }

@@ -16,10 +16,6 @@
 //! `ε = 0.2` and `n = 50`, so DFS/BFS run their Exponential mechanisms with
 //! `ε₁ = 0.2 / 102 ≈ 0.00196` while uniform sampling and random walk use
 //! `ε₁ = 0.1`.
-//!
-//! A [`BudgetAccountant`] additionally tracks cumulative spending across
-//! multiple releases (e.g. answering several outlier queries on the same
-//! dataset) and refuses to exceed the total.
 
 use crate::mechanism::MechanismKind;
 use crate::{DpError, Result};
@@ -142,80 +138,6 @@ fn validate_epsilon(epsilon: f64) -> Result<()> {
     Ok(())
 }
 
-/// Tracks privacy budget spending across multiple private releases: each
-/// [`spend`](BudgetAccountant::spend) is checked against the remaining
-/// budget and recorded, and [`split`](BudgetAccountant::split) carves a
-/// delegated sub-budget out of it. This is the single-caller accountant
-/// for composing releases by hand; the concurrent reserve/commit/refund
-/// protocol of the serving layer lives in `pcor-service`'s ledger.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BudgetAccountant {
-    total: f64,
-    spent: f64,
-}
-
-impl BudgetAccountant {
-    /// Creates an accountant with a total budget of `total` (ε).
-    ///
-    /// # Errors
-    /// Returns [`DpError::InvalidEpsilon`] for non-positive totals.
-    pub fn new(total: f64) -> Result<Self> {
-        validate_epsilon(total)?;
-        Ok(BudgetAccountant { total, spent: 0.0 })
-    }
-
-    /// Total budget.
-    pub fn total(&self) -> f64 {
-        self.total
-    }
-
-    /// Budget spent so far.
-    pub fn spent(&self) -> f64 {
-        self.spent
-    }
-
-    /// Budget still available (total minus spent).
-    pub fn remaining(&self) -> f64 {
-        (self.total - self.spent).max(0.0)
-    }
-
-    /// Whether a release costing `epsilon` fits in the remaining budget.
-    pub fn can_spend(&self, epsilon: f64) -> bool {
-        epsilon <= self.remaining() + 1e-12
-    }
-
-    /// Records a release costing `epsilon`.
-    ///
-    /// # Errors
-    /// Returns [`DpError::BudgetExceeded`] when the release does not fit and
-    /// [`DpError::InvalidEpsilon`] for non-positive costs.
-    pub fn spend(&mut self, epsilon: f64) -> Result<()> {
-        validate_epsilon(epsilon)?;
-        if !self.can_spend(epsilon) {
-            return Err(DpError::BudgetExceeded {
-                requested: epsilon,
-                remaining: self.remaining(),
-            });
-        }
-        self.spent += epsilon;
-        Ok(())
-    }
-
-    /// Carves a delegated sub-budget of `epsilon` out of the remaining
-    /// budget: the parent records `epsilon` as spent and the returned child
-    /// accountant may spend up to `epsilon` independently. Sequential
-    /// composition makes the parent's total a sound bound on the combined
-    /// spending.
-    ///
-    /// # Errors
-    /// Returns [`DpError::BudgetExceeded`] when the sub-budget does not fit
-    /// and [`DpError::InvalidEpsilon`] for non-positive amounts.
-    pub fn split(&mut self, epsilon: f64) -> Result<BudgetAccountant> {
-        self.spend(epsilon)?;
-        BudgetAccountant::new(epsilon)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,39 +222,5 @@ mod tests {
         assert_eq!(g.epsilon_per_invocation, 0.1);
         assert!((g.composed_epsilon() - 0.2).abs() < 1e-12);
         assert!(g.to_string().contains("PermuteAndFlip"));
-    }
-
-    #[test]
-    fn accountant_tracks_and_enforces_budget() {
-        let mut acct = BudgetAccountant::new(0.5).unwrap();
-        assert_eq!(acct.total(), 0.5);
-        assert_eq!(acct.remaining(), 0.5);
-        acct.spend(0.2).unwrap();
-        acct.spend(0.2).unwrap();
-        assert!((acct.spent() - 0.4).abs() < 1e-12);
-        assert!((acct.remaining() - 0.1).abs() < 1e-12);
-        assert!(acct.can_spend(0.1));
-        assert!(!acct.can_spend(0.2));
-        let err = acct.spend(0.2).unwrap_err();
-        assert!(matches!(err, DpError::BudgetExceeded { .. }));
-        // Exact exhaustion is allowed.
-        acct.spend(0.1).unwrap();
-        assert!(acct.remaining() < 1e-12);
-        assert!(acct.spend(-0.1).is_err());
-        assert!(BudgetAccountant::new(0.0).is_err());
-    }
-
-    #[test]
-    fn split_delegates_a_sub_budget() {
-        let mut parent = BudgetAccountant::new(1.0).unwrap();
-        let mut child = parent.split(0.25).unwrap();
-        assert_eq!(child.total(), 0.25);
-        assert!((parent.remaining() - 0.75).abs() < 1e-12);
-        child.spend(0.2).unwrap();
-        assert!(matches!(child.spend(0.2), Err(DpError::BudgetExceeded { .. })));
-        // Parent accounting is unaffected by the child's internal spending.
-        assert!((parent.spent() - 0.25).abs() < 1e-12);
-        assert!(parent.split(0.8).is_err());
-        assert!(parent.split(-1.0).is_err());
     }
 }

@@ -50,7 +50,7 @@ pub mod noisy_max;
 pub mod permute_flip;
 pub mod utility;
 
-pub use budget::{BudgetAccountant, OcdpGuarantee, PrivacyNotion};
+pub use budget::{OcdpGuarantee, PrivacyNotion};
 pub use exponential::ExponentialMechanism;
 pub use laplace::LaplaceMechanism;
 pub use mechanism::{MechanismKind, MechanismTally, SelectionMechanism};

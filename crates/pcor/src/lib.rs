@@ -79,9 +79,8 @@ pub mod prelude {
     };
     pub use pcor_data::{Attribute, Context, Dataset, PopulationCursor, Record, Schema};
     pub use pcor_dp::{
-        BudgetAccountant, ExponentialMechanism, LaplaceMechanism, MechanismKind, MechanismTally,
-        OverlapUtility, PermuteAndFlip, PopulationSizeUtility, ReportNoisyMax, SelectionMechanism,
-        Utility,
+        ExponentialMechanism, LaplaceMechanism, MechanismKind, MechanismTally, OverlapUtility,
+        PermuteAndFlip, PopulationSizeUtility, ReportNoisyMax, SelectionMechanism, Utility,
     };
     pub use pcor_graph::ContextGraph;
     pub use pcor_net::{http_get, NetClient, NetConfig, NetFront};

@@ -48,25 +48,26 @@
 //!
 //! The journal fails **closed, but not forever**. A WAL write error is
 //! first retried in place with bounded, jittered backoff
-//! ([`WalConfig::retry_attempts`]) — a transient `EINTR`-class hiccup
+//! (`RETRY_ATTEMPTS` = 3 tries, `RETRY_BACKOFF` = 500 µs doubling up to
+//! `RETRY_BACKOFF_MAX` = 10 ms) — a transient `EINTR`-class hiccup
 //! recovers invisibly. When retries exhaust, the record moves to an
 //! in-memory **backlog** (preserving audit order), the failing reserve is
 //! rolled back and refused ([`crate::ServiceError::Durability`]), and a
 //! consecutive-failure counter feeds a **circuit breaker**: after
-//! [`WalConfig::breaker_trip_after`] exhausted appends the breaker opens
-//! and the ledger goes read-only — every reserve is refused up front
+//! `BREAKER_TRIP_AFTER` = 3 exhausted appends the breaker opens and the
+//! ledger goes read-only — every reserve is refused up front
 //! (`Journal::accepting_reserves`) without touching the disk. After
-//! [`WalConfig::breaker_cooldown`] the breaker half-opens: the next append
-//! is a probe, and its success drains the backlog in order (so the on-disk
-//! log remains a contiguous prefix of the audit log) and closes the
-//! breaker again.
+//! `BREAKER_COOLDOWN` = 250 ms the breaker half-opens: the next append is a
+//! probe, and its success drains the backlog in order (so the on-disk log
+//! remains a contiguous prefix of the audit log) and closes the breaker
+//! again.
 //!
 //! In-flight resolutions still settle in memory across all of this (the
 //! privacy was already released; refusing would change nothing); their
 //! events wait in the backlog and land once the disk heals. Failures are
-//! counted in [`DurableLedger::journal_errors`] / the
-//! `pcor_wal_journal_errors` counter, and the breaker's position is
-//! reported by [`DurableLedger::journal_health`].
+//! counted in the `pcor_wal_journal_errors` counter, and the breaker's
+//! position, backlog and error count are reported by
+//! [`DurableLedger::journal_health`].
 //!
 //! # Group commit
 //!
@@ -74,9 +75,7 @@
 //! [`GroupWal`]: commit-point appends return a [`CommitTicket`] instead of
 //! fsyncing inside the ledger lock, and the ledger awaits durability
 //! *after* releasing the lock — concurrent committers coalesce into one
-//! fsync. Set [`WalConfig::group_commit`] to `false` to restore the
-//! in-lock fsync (the pre-group baseline the bench suite compares
-//! against).
+//! fsync.
 
 use crate::ledger::{BudgetLedger, LedgerEntry};
 use crate::registry::{DatasetRegistry, WarmState};
@@ -90,40 +89,32 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Total write attempts per record (first try + retries) before the
+/// record falls back to the backlog.
+const RETRY_ATTEMPTS: u32 = 3;
+/// Base delay of the exponential retry backoff (doubled per attempt,
+/// jittered ±50%).
+const RETRY_BACKOFF: Duration = Duration::from_micros(500);
+/// Ceiling of the retry backoff.
+const RETRY_BACKOFF_MAX: Duration = Duration::from_millis(10);
+/// Consecutive exhausted appends that trip the circuit breaker into its
+/// open (read-only) state.
+const BREAKER_TRIP_AFTER: u32 = 3;
+/// How long an open breaker refuses reserves before half-opening for a
+/// probe write.
+const BREAKER_COOLDOWN: Duration = Duration::from_millis(250);
+
 /// Configuration of the durable ledger's WAL.
 #[derive(Debug, Clone)]
 pub struct WalConfig {
     /// Directory holding the log segments; created if absent.
     pub dir: PathBuf,
-    /// When records are flushed to stable storage. Under
-    /// [`FsyncPolicy::EveryNRecords`]`(n)` a power cut can lose up to
-    /// `n − 1` acknowledged records, `Committed` ones included: recovery
-    /// then refunds ε for a release that was already published.
+    /// When records are flushed to stable storage.
     pub fsync: FsyncPolicy,
-    /// Segment rotation threshold in bytes.
-    pub segment_max_bytes: u64,
     /// Write a compaction checkpoint after this many journaled records
     /// (`0` disables automatic checkpoints; explicit
     /// [`DurableLedger::checkpoint`] calls still work).
     pub checkpoint_interval: u64,
-    /// Coalesce concurrent commit fsyncs through the [`GroupWal`]
-    /// leader/follower protocol (only meaningful under
-    /// [`FsyncPolicy::OnCommit`]). `false` restores the in-lock fsync.
-    pub group_commit: bool,
-    /// Total write attempts per record (first try + retries) before the
-    /// record falls back to the backlog. Minimum effective value is 1.
-    pub retry_attempts: u32,
-    /// Base delay of the exponential retry backoff (doubled per attempt,
-    /// jittered ±50%).
-    pub retry_backoff: Duration,
-    /// Ceiling of the retry backoff.
-    pub retry_backoff_max: Duration,
-    /// Consecutive exhausted appends that trip the circuit breaker into
-    /// its open (read-only) state.
-    pub breaker_trip_after: u32,
-    /// How long an open breaker refuses reserves before half-opening for
-    /// a probe write.
-    pub breaker_cooldown: Duration,
     /// Fault-injection plan threaded into the WAL (disabled by default;
     /// the chaos tests use it to script disk failures).
     pub faults: Faults,
@@ -134,14 +125,7 @@ impl Default for WalConfig {
         WalConfig {
             dir: PathBuf::from("pcor-wal"),
             fsync: FsyncPolicy::OnCommit,
-            segment_max_bytes: 8 * 1024 * 1024,
             checkpoint_interval: 4096,
-            group_commit: true,
-            retry_attempts: 3,
-            retry_backoff: Duration::from_micros(500),
-            retry_backoff_max: Duration::from_millis(10),
-            breaker_trip_after: 3,
-            breaker_cooldown: Duration::from_millis(250),
             faults: Faults::disabled(),
         }
     }
@@ -223,15 +207,20 @@ struct JournalControl {
     jitter: u64,
 }
 
-/// The retry/breaker knobs the journal copied out of its [`WalConfig`].
-#[derive(Clone)]
-struct JournalPolicy {
-    group_commit: bool,
-    retry_attempts: u32,
-    retry_backoff: Duration,
-    retry_backoff_max: Duration,
-    breaker_trip_after: u32,
-    breaker_cooldown: Duration,
+impl JournalControl {
+    /// `RETRY_BACKOFF · 2^attempt`, capped at `RETRY_BACKOFF_MAX`, jittered
+    /// to 50–150% via splitmix64.
+    fn backoff(&mut self, attempt: u32) -> Duration {
+        self.jitter = self.jitter.wrapping_add(0x9e3779b97f4a7c15);
+        let mut z = self.jitter;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+        z ^= z >> 31;
+        let exp = RETRY_BACKOFF.saturating_mul(1u32 << attempt.min(16));
+        let capped = exp.min(RETRY_BACKOFF_MAX);
+        let jitter_permille = 500 + (z % 1001); // 500..=1500
+        capped.mul_f64(jitter_permille as f64 / 1000.0)
+    }
 }
 
 /// The shared WAL handle the ledger journals through.
@@ -251,11 +240,10 @@ pub(crate) struct Journal {
     retries_exhausted: Arc<Counter>,
     retries_recovered: Arc<Counter>,
     trips: Arc<Counter>,
-    policy: JournalPolicy,
 }
 
 impl Journal {
-    fn new(wal: Wal, config: &WalConfig, registry: &MetricsRegistry) -> Self {
+    fn new(wal: Wal, registry: &MetricsRegistry) -> Self {
         for (name, help) in [
             ("pcor_wal_journal_errors", "Journal appends that exhausted their retries."),
             ("pcor_retries_total", "Journal append retries by outcome."),
@@ -276,14 +264,6 @@ impl Journal {
             retries_exhausted: retries("exhausted"),
             retries_recovered: retries("recovered"),
             trips: registry.counter("pcor_breaker_trips", &[]),
-            policy: JournalPolicy {
-                group_commit: config.group_commit,
-                retry_attempts: config.retry_attempts.max(1),
-                retry_backoff: config.retry_backoff,
-                retry_backoff_max: config.retry_backoff_max,
-                breaker_trip_after: config.breaker_trip_after.max(1),
-                breaker_cooldown: config.breaker_cooldown,
-            },
         }
     }
 
@@ -300,9 +280,9 @@ impl Journal {
     }
 
     /// Serializes and appends one event. `commit_point` drives
-    /// [`FsyncPolicy::OnCommit`]; under group commit the returned ticket
-    /// must be passed to [`Journal::wait_durable`] (outside the ledger
-    /// lock) before the commit is acknowledged.
+    /// [`FsyncPolicy::OnCommit`]; the returned ticket must be passed to
+    /// [`Journal::wait_durable`] (outside the ledger lock) before the
+    /// commit is acknowledged.
     ///
     /// On failure the record is preserved in the backlog — the caller's
     /// audit append stands, and the disk catches up when it heals.
@@ -332,19 +312,6 @@ impl Journal {
             Ok(ticket) => {
                 control.consecutive_failures = 0;
                 control.breaker = Breaker::Closed;
-                if ticket.pending() && !self.policy.group_commit {
-                    // Group commit disabled: restore the classic
-                    // fsync-inside-the-append behaviour. The record is
-                    // already appended, so a sync failure is counted but
-                    // must not re-enter the backlog (it would duplicate).
-                    return match self.wal.wait_durable(ticket) {
-                        Ok(()) => Ok(CommitTicket::NONE),
-                        Err(err) => {
-                            self.note_failure(&mut control);
-                            Err(ServiceError::Durability(err.to_string()))
-                        }
-                    };
-                }
                 Ok(ticket)
             }
             Err(err) => {
@@ -370,16 +337,15 @@ impl Journal {
     }
 
     /// One failed append or fsync: count it, and trip the breaker once the
-    /// consecutive run reaches the configured threshold.
+    /// consecutive run reaches [`BREAKER_TRIP_AFTER`].
     fn note_failure(&self, control: &mut JournalControl) {
         self.count_error();
         control.consecutive_failures = control.consecutive_failures.saturating_add(1);
-        if control.consecutive_failures >= self.policy.breaker_trip_after {
+        if control.consecutive_failures >= BREAKER_TRIP_AFTER {
             if !matches!(control.breaker, Breaker::Open { .. }) {
                 self.trips.inc();
             }
-            control.breaker =
-                Breaker::Open { until: Instant::now() + self.policy.breaker_cooldown };
+            control.breaker = Breaker::Open { until: Instant::now() + BREAKER_COOLDOWN };
         }
     }
 
@@ -418,7 +384,7 @@ impl Journal {
         commit_point: bool,
     ) -> Result<CommitTicket> {
         let mut last_err = None;
-        for attempt in 0..self.policy.retry_attempts {
+        for attempt in 0..RETRY_ATTEMPTS {
             match self.wal.append(payload, commit_point) {
                 Ok(ticket) => {
                     if attempt > 0 {
@@ -428,27 +394,14 @@ impl Journal {
                 }
                 Err(err) => {
                     last_err = Some(err);
-                    if attempt + 1 < self.policy.retry_attempts {
-                        std::thread::sleep(self.backoff(control, attempt));
+                    if attempt + 1 < RETRY_ATTEMPTS {
+                        std::thread::sleep(control.backoff(attempt));
                     }
                 }
             }
         }
         let err = last_err.expect("retry loop runs at least once");
         Err(ServiceError::Durability(err.to_string()))
-    }
-
-    /// `base · 2^attempt`, capped, jittered to 50–150% via splitmix64.
-    fn backoff(&self, control: &mut JournalControl, attempt: u32) -> Duration {
-        control.jitter = control.jitter.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = control.jitter;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^= z >> 31;
-        let exp = self.policy.retry_backoff.saturating_mul(1u32 << attempt.min(16));
-        let capped = exp.min(self.policy.retry_backoff_max);
-        let jitter_permille = 500 + (z % 1001); // 500..=1500
-        capped.mul_f64(jitter_permille as f64 / 1000.0)
     }
 
     pub(crate) fn checkpoint(&self, payload: &[u8]) -> Result<()> {
@@ -585,8 +538,8 @@ impl DurableLedger {
         let options = WalOptions {
             dir: config.dir.clone(),
             fsync: config.fsync,
-            segment_max_bytes: config.segment_max_bytes,
             faults: config.faults.clone(),
+            ..WalOptions::default()
         };
         let (wal, replay) = Wal::open(options).map_err(durability)?;
 
@@ -617,7 +570,7 @@ impl DurableLedger {
         // Attach the journal before recovery, so the dangling refunds are
         // persisted like any live refund.
         let registry = telemetry.registry();
-        let journal = Journal::new(wal, &config, registry);
+        let journal = Journal::new(wal, registry);
         ledger.attach_journal(journal.clone());
 
         // Restore the checkpoint accounts wholesale, then fold the tail on
@@ -695,31 +648,15 @@ impl DurableLedger {
         &self.report
     }
 
-    /// The WAL configuration this ledger was opened with.
-    pub fn config(&self) -> &WalConfig {
-        &self.config
-    }
-
     /// Writer-side WAL statistics (records, bytes, fsyncs, segments,
     /// checkpoints).
     pub fn wal_stats(&self) -> WalStats {
         self.journal.stats()
     }
 
-    /// Journal append failures since open (0 in a healthy deployment).
-    pub fn journal_errors(&self) -> u64 {
-        self.journal.errors.get()
-    }
-
     /// The journal's breaker position, backlog depth and failure counters.
     pub fn journal_health(&self) -> JournalHealth {
         self.journal.health()
-    }
-
-    /// Whether the journal would accept a new reserve right now (`false`
-    /// while the circuit breaker is open: the ledger is read-only).
-    pub fn accepting_reserves(&self) -> bool {
-        self.journal.accepting_reserves()
     }
 
     /// Warm cache entries seeded into a registry so far, as
@@ -1032,6 +969,78 @@ mod tests {
         let durable = DurableLedger::open(WalConfig::at(dir.clone()), ledger).unwrap();
         assert!((durable.ledger().spent("vip", "salary") - 2.0).abs() < 1e-12);
         assert!(durable.ledger().remaining("vip", "salary") >= 0.0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn exhausted_appends_trip_the_breaker_and_a_probe_drains_the_backlog() {
+        use pcor_faults::{site, FaultKind, FaultPlan};
+        let dir = test_dir("breaker");
+        // Hits 1-2 (one clean reserve/commit) land; hits 3-11 fail, which is
+        // exactly three appends that exhaust all `RETRY_ATTEMPTS` tries.
+        let mut plan = FaultPlan::scripted(Vec::new());
+        for hit in 3..=11 {
+            plan = plan.at(site::WAL_APPEND, hit, FaultKind::IoError);
+        }
+        let faults = plan.build();
+        let config = WalConfig { faults: faults.clone(), ..WalConfig::at(dir.clone()) };
+        let durable = DurableLedger::open(config, BudgetLedger::new(1.0)).unwrap();
+        let ledger = durable.ledger();
+        let r = ledger.reserve_traced("alice", "salary", 0.1, 1, None).unwrap();
+        ledger.commit(r);
+        assert_eq!(faults.hits(site::WAL_APPEND), 2);
+
+        // Exhausted appends 1 and 2: the reserve and its rollback refund.
+        // The reserve is refused and both records wait in the backlog.
+        match ledger.reserve_traced("alice", "salary", 0.2, 2, None) {
+            Err(ServiceError::Durability(_)) => {}
+            other => panic!("expected a durability refusal, got {other:?}"),
+        }
+        let health = durable.journal_health();
+        assert_eq!((health.breaker, health.backlog, health.errors), (BreakerState::Closed, 2, 2));
+        assert!(health.accepting_reserves);
+
+        // Exhausted append 3 trips the breaker; the rollback refund that
+        // follows is backlogged without touching the disk.
+        assert!(matches!(
+            ledger.reserve_traced("alice", "salary", 0.2, 3, None),
+            Err(ServiceError::Durability(_))
+        ));
+        assert_eq!(faults.hits(site::WAL_APPEND), 11);
+        let health = durable.journal_health();
+        assert_eq!(health.breaker, BreakerState::Open);
+        assert!(!health.accepting_reserves);
+        assert_eq!((health.backlog, health.errors, health.trips), (4, 4, 1));
+
+        // Read-only: a reserve is refused up front, without a write.
+        assert!(matches!(
+            ledger.reserve_traced("alice", "salary", 0.2, 4, None),
+            Err(ServiceError::Durability(_))
+        ));
+        assert_eq!(faults.hits(site::WAL_APPEND), 11, "an open breaker must not touch the disk");
+        assert_eq!(durable.journal_health().backlog, 4);
+
+        // After the cooldown the breaker half-opens, and a clean probe
+        // drains the backlog ahead of its own record and closes it.
+        std::thread::sleep(BREAKER_COOLDOWN);
+        assert_eq!(durable.journal_health().breaker, BreakerState::HalfOpen);
+        let r = ledger.reserve_traced("alice", "salary", 0.3, 5, None).unwrap();
+        ledger.commit(r);
+        assert_eq!(faults.hits(site::WAL_APPEND), 11 + 4 + 2);
+        let health = durable.journal_health();
+        assert_eq!((health.breaker, health.backlog), (BreakerState::Closed, 0));
+        assert!(health.accepting_reserves);
+
+        // The drained log is the audit log, in order: a reopen replays it
+        // contiguously to the live committed ε.
+        let live_events = durable.telemetry().audit().events();
+        let live_spent = ledger.spent("alice", "salary");
+        assert!((live_spent - 0.4).abs() < 1e-12);
+        drop(durable);
+        let reopened = open(&dir, 1.0);
+        assert_eq!(reopened.report().dangling_refunded, 0);
+        assert_eq!(reopened.telemetry().audit().events(), live_events);
+        assert_eq!(reopened.ledger().spent("alice", "salary"), live_spent);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

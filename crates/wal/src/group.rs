@@ -21,8 +21,8 @@
 //! The acknowledgment contract is unchanged: a commit is reported durable
 //! only after an fsync covering its record has returned, so
 //! `OnCommit`'s guarantee — every acknowledged spend durable with its
-//! whole prefix — holds exactly as before. Policies other than `OnCommit`
-//! keep their inline syncs and always return an empty ticket.
+//! whole prefix — holds exactly as before. `EveryRecord` keeps its inline
+//! syncs and always returns an empty ticket.
 
 use crate::{FsyncPolicy, Wal, WalError, WalStats};
 use std::sync::{Condvar, Mutex};

@@ -12,8 +12,8 @@
 //! * **Segments** ([`segment`]): the log is a directory of
 //!   `wal-{index:020}.seg` files with monotone indices; rotation bounds
 //!   file sizes and makes compaction a matter of deleting whole files.
-//! * **Fsync policies** ([`FsyncPolicy`]): from every-record paranoia to
-//!   syncing only at commit points, chosen per deployment.
+//! * **Fsync policies** ([`FsyncPolicy`]): sync every record, or only at
+//!   commit points (the default), chosen per deployment.
 //! * **Recovery** ([`Wal::open`]): replays all retained records, truncates
 //!   a torn tail (an interrupted final write), and refuses mid-log
 //!   corruption with [`WalError::Corrupt`] rather than invent balances.
@@ -66,12 +66,6 @@ pub enum FsyncPolicy {
     /// `fsync` after every record: maximum durability, one disk flush per
     /// ledger event.
     EveryRecord,
-    /// `fsync` once every `n` records: bounded loss window of at most
-    /// `n − 1` records on power failure. `n = 0` behaves like `1`. The
-    /// lost records can include acknowledged `Committed` budget events,
-    /// whose reservations recovery then refunds: ε comes back for a
-    /// release that was already published.
-    EveryNRecords(u64),
     /// `fsync` only at commit points (records appended with
     /// `commit_point = true`): every acknowledged spend is durable with
     /// its whole prefix, while reserve/refund bookkeeping between commits
@@ -85,7 +79,6 @@ impl FsyncPolicy {
     pub fn name(&self) -> &'static str {
         match self {
             FsyncPolicy::EveryRecord => "every_record",
-            FsyncPolicy::EveryNRecords(_) => "every_n",
             FsyncPolicy::OnCommit => "on_commit",
         }
     }

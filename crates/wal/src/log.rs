@@ -170,7 +170,6 @@ impl Wal {
         self.write_record(RecordKind::Event, payload)?;
         let sync = match self.options.fsync {
             FsyncPolicy::EveryRecord => true,
-            FsyncPolicy::EveryNRecords(n) => self.unsynced >= n.max(1),
             FsyncPolicy::OnCommit => commit_point,
         };
         if sync {
@@ -411,17 +410,6 @@ mod tests {
         assert_eq!(wal.stats().fsyncs, 5);
         drop(wal);
         std::fs::remove_dir_all(&dir_every).unwrap();
-
-        let dir_batch = test_dir("fsync-batch");
-        let (mut wal, _) =
-            Wal::open(WalOptions { fsync: FsyncPolicy::EveryNRecords(4), ..opts(&dir_batch) })
-                .unwrap();
-        for _ in 0..8 {
-            wal.append(b"x", false).unwrap();
-        }
-        assert_eq!(wal.stats().fsyncs, 2);
-        drop(wal);
-        std::fs::remove_dir_all(&dir_batch).unwrap();
 
         let dir_commit = test_dir("fsync-commit");
         let (mut wal, _) =

@@ -92,25 +92,6 @@ fn coe_match_degrades_gracefully_with_group_privacy_distance() {
 }
 
 #[test]
-fn budget_accountant_composes_across_multiple_releases() {
-    let dataset = tiny_dataset();
-    let detector = ZScoreDetector::new(2.5);
-    let utility = PopulationSizeUtility;
-    let mut rng = ChaCha12Rng::seed_from_u64(2);
-    let mut accountant = BudgetAccountant::new(0.5).unwrap();
-
-    // Two releases at eps = 0.2 fit in a 0.5 budget; a third does not.
-    for _ in 0..2 {
-        let config = PcorConfig::new(SamplingAlgorithm::Bfs, 0.2).with_samples(10);
-        let result = release_context(&dataset, 0, &detector, &utility, &config, &mut rng).unwrap();
-        accountant.spend(result.guarantee.epsilon).unwrap();
-    }
-    assert!((accountant.remaining() - 0.1).abs() < 1e-9);
-    assert!(!accountant.can_spend(0.2));
-    assert!(accountant.spend(0.2).is_err());
-}
-
-#[test]
 fn dp_graph_search_is_randomized_unlike_classic_search() {
     // The reason the paper modifies BFS/DFS: deterministic searches give some
     // outputs probability zero. Check our DP-BFS actually produces different
