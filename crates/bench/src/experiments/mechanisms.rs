@@ -18,11 +18,10 @@
 //!    calls/sec. The verification engine dominates the cost, so calls/sec
 //!    shows whether a mechanism's draw overhead is visible at all.
 //!
-//! The true-best normalization comes from the service registry's new
-//! reference-file cache ([`DatasetRegistry::reference_file`]): the first
-//! mechanism's run pays the `COE_M` enumeration, the other two hit the
-//! cache — exactly the Direct-mode deployment pattern the cache exists
-//! for. Results land in `BENCH_mechanisms.json` via `reproduce --json`.
+//! Every mechanism scores the same reference file, the workload's one
+//! `COE_M` enumeration, which also supplies the true best for
+//! normalization. Results land in `BENCH_mechanisms.json` via
+//! `reproduce --json`.
 
 use crate::config::ExperimentScale;
 use crate::report::Table;
@@ -31,8 +30,7 @@ use crate::{BenchError, Result};
 use pcor_core::{MechanismKind, ReleaseSession, ReleaseSpec, SamplingAlgorithm};
 use pcor_dp::budget::OcdpGuarantee;
 use pcor_dp::PopulationSizeUtility;
-use pcor_outlier::{DetectorKind, ZScoreDetector};
-use pcor_service::DatasetRegistry;
+use pcor_outlier::ZScoreDetector;
 use std::time::Instant;
 
 use super::ExperimentOutput;
@@ -46,11 +44,8 @@ pub fn run(scale: &ExperimentScale) -> Result<ExperimentOutput> {
     let detector = ZScoreDetector::default();
     let workload = Workload::build(WorkloadKind::Salary, scale, &detector)?;
     let record_id = workload.outlier.record_id;
-
-    // The registry serves (and caches) the reference file used for
-    // normalization — one enumeration, shared by every mechanism below.
-    let registry = DatasetRegistry::new();
-    let entry = registry.register("salary", workload.dataset.clone());
+    let reference = &workload.reference;
+    let scores: Vec<f64> = reference.entries.iter().map(|e| e.utility).collect();
 
     // --- Exact one-draw distributions over COE_M ----------------------
     // Both budget splits the algorithms actually run with: the single-draw
@@ -79,10 +74,6 @@ pub fn run(scale: &ExperimentScale) -> Result<ExperimentOutput> {
     let mut expected_utilities = Vec::new();
     for (split_name, epsilon1) in splits {
         for kind in MechanismKind::all() {
-            let (reference, _) = registry
-                .reference_file(&entry, record_id, DetectorKind::ZScore, 22)
-                .map_err(|e| BenchError::Service(e.to_string()))?;
-            let scores: Vec<f64> = reference.entries.iter().map(|e| e.utility).collect();
             let mechanism = kind.build(epsilon1, 1.0).map_err(pcor_core::PcorError::Dp)?;
             let probabilities =
                 mechanism.probabilities(&scores).map_err(pcor_core::PcorError::Dp)?;
@@ -104,11 +95,6 @@ pub fn run(scale: &ExperimentScale) -> Result<ExperimentOutput> {
             ]);
         }
     }
-    // The registry cache must have served every repeat enumeration.
-    let cache = registry.cache_stats();
-    debug_assert_eq!(cache.reference_misses, 1);
-    debug_assert_eq!(cache.reference_hits, 5);
-
     // --- End-to-end BFS releases per mechanism ------------------------
     let mut end_to_end = Table::new(
         format!(

@@ -73,13 +73,6 @@ pub enum DpError {
     InvalidEpsilon(f64),
     /// The sensitivity `Δu` was non-positive or non-finite.
     InvalidSensitivity(f64),
-    /// A mechanism invocation would exceed the remaining privacy budget.
-    BudgetExceeded {
-        /// Budget requested by the invocation.
-        requested: f64,
-        /// Budget still available.
-        remaining: f64,
-    },
     /// A problem in the underlying data layer (population evaluation).
     Data(String),
 }
@@ -90,9 +83,6 @@ impl std::fmt::Display for DpError {
             DpError::NoValidCandidates => write!(f, "no candidate with finite utility"),
             DpError::InvalidEpsilon(e) => write!(f, "invalid epsilon: {e}"),
             DpError::InvalidSensitivity(s) => write!(f, "invalid sensitivity: {s}"),
-            DpError::BudgetExceeded { requested, remaining } => {
-                write!(f, "budget exceeded: requested {requested}, remaining {remaining}")
-            }
             DpError::Data(msg) => write!(f, "data error: {msg}"),
         }
     }
@@ -119,27 +109,6 @@ mod tests {
         assert!(DpError::InvalidSensitivity(0.0).to_string().contains('0'));
         assert!(DpError::NoValidCandidates.to_string().contains("candidate"));
         assert!(DpError::Data("oops".into()).to_string().contains("oops"));
-    }
-
-    #[test]
-    fn budget_exceeded_exposes_requested_and_remaining() {
-        // The named fields are the accessor surface: a caller can
-        // destructure the refusal and relate both amounts to the message.
-        let error = DpError::BudgetExceeded { requested: 0.5, remaining: 0.1 };
-        let DpError::BudgetExceeded { requested, remaining } = error.clone() else {
-            panic!("constructed variant must match");
-        };
-        assert_eq!(requested, 0.5);
-        assert_eq!(remaining, 0.1);
-        let text = error.to_string();
-        assert!(text.contains(&requested.to_string()), "{text}");
-        assert!(text.contains(&remaining.to_string()), "{text}");
-        // `DpError` is #[non_exhaustive]; downstream matches keep a
-        // wildcard arm like this one.
-        match error {
-            DpError::BudgetExceeded { .. } => {}
-            _ => panic!("unexpected variant"),
-        }
     }
 
     #[test]

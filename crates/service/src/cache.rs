@@ -14,7 +14,7 @@
 //! [`LruCache::insert`] keeps the historical behavior.
 //!
 //! Implemented with a `HashMap` plus a scan-for-minimum eviction. The scan
-//! is `O(len)`, which is deliberate: capacities here are small (hundreds),
+//! is `O(len)`, which is deliberate: capacities here are small (the registry's is 1,024),
 //! the cache sits behind a mutex on a path that otherwise runs a graph
 //! search over the dataset, and the simple structure keeps the hot `get`
 //! at a single hash lookup.
@@ -63,29 +63,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Re-sizes the cache in place (`capacity >= 1`). Shrinking evicts the
-    /// lowest-priority entries one by one — each eviction advances the
-    /// GreedyDual clock exactly as an overflow eviction would, so the
-    /// surviving entries keep their relative protection. Returns how many
-    /// entries the resize evicted (zero when growing).
-    pub fn set_capacity(&mut self, capacity: usize) -> usize {
-        assert!(capacity >= 1, "LRU capacity must be at least 1");
-        let mut evicted = 0;
-        while self.entries.len() > capacity {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, entry)| (entry.priority, entry.stamp))
-                .map(|(k, entry)| (k.clone(), entry.priority));
-            let Some((key, victim_priority)) = victim else { break };
-            self.clock = self.clock.max(victim_priority);
-            self.entries.remove(&key);
-            evicted += 1;
-        }
-        self.capacity = capacity;
-        evicted
     }
 
     /// Looks up `key`, refreshing its recency (and re-applying its cost to
@@ -278,27 +255,6 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn zero_capacity_is_rejected() {
         let _ = LruCache::<u32, u32>::new(0);
-    }
-
-    #[test]
-    fn resizing_shrinks_by_eviction_priority_and_grows_for_free() {
-        let mut cache = LruCache::new(4);
-        cache.insert_with_cost("expensive", 1, 1_000);
-        for key in ["cheap-1", "cheap-2", "cheap-3"] {
-            cache.insert_with_cost(key, 0, 2);
-        }
-        // Shrinking evicts the cheapest-to-rediscover entries first.
-        assert_eq!(cache.set_capacity(2), 2);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.capacity(), 2);
-        assert_eq!(cache.get(&"expensive"), Some(&1));
-        assert_eq!(cache.get(&"cheap-1"), None);
-        // Growing evicts nothing and new room is usable immediately.
-        assert_eq!(cache.set_capacity(8), 0);
-        for key in ["d", "e", "f"] {
-            assert_eq!(cache.insert(key, 9), None);
-        }
-        assert_eq!(cache.len(), 5);
     }
 
     #[test]

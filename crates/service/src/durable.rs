@@ -38,11 +38,10 @@
 //! # Warm restarts
 //!
 //! Checkpoints carry the registry's exported [`WarmState`] — the hot
-//! GreedyDual entries of the starting-context and reference-file caches —
-//! so a restarted server re-seeds its caches
-//! ([`DurableLedger::seed_registry`]) instead of re-paying fresh `f_M`
-//! discovery. Entries are validated against dataset fingerprints at seed
-//! time; changed data drops its derived state.
+//! GreedyDual entries of the starting-context cache — so a restarted
+//! server re-seeds that cache ([`DurableLedger::seed_registry`]) instead
+//! of re-paying fresh `f_M` discovery. Entries are validated against
+//! dataset fingerprints at seed time; changed data drops its derived state.
 //!
 //! # Journal failures
 //!
@@ -513,9 +512,8 @@ pub struct DurableLedger {
     /// Warm cache state recovered from the checkpoint, consumed by
     /// [`seed_registry`](DurableLedger::seed_registry).
     warm: Mutex<Option<WarmState>>,
-    /// `pcor_wal_warm_seeded{cache}`, per cache.
-    warm_contexts_seeded: Arc<Counter>,
-    warm_references_seeded: Arc<Counter>,
+    /// `pcor_wal_warm_seeded{cache="starting_context"}`.
+    warm_seeded: Arc<Counter>,
     /// Serializes checkpoint writers; the auto path try-locks so request
     /// workers never queue behind a checkpoint already in progress.
     checkpoint_guard: Mutex<()>,
@@ -616,9 +614,8 @@ impl DurableLedger {
         gauge("pcor_wal_refunded_epsilon", "Epsilon those dangling refunds released.", epsilon);
         registry
             .set_help("pcor_wal_warm_seeded", "Warm cache entries re-seeded from the checkpoint.");
-        let warm_seeded = |cache| registry.counter("pcor_wal_warm_seeded", &[("cache", cache)]);
-        let warm_contexts_seeded = warm_seeded("starting_context");
-        let warm_references_seeded = warm_seeded("reference_file");
+        let warm_seeded =
+            registry.counter("pcor_wal_warm_seeded", &[("cache", "starting_context")]);
         let warm = checkpoint.map(|cp| cp.warm).filter(|warm| !warm.is_empty());
         Ok(DurableLedger {
             ledger,
@@ -627,8 +624,7 @@ impl DurableLedger {
             config,
             report,
             warm: Mutex::new(warm),
-            warm_contexts_seeded,
-            warm_references_seeded,
+            warm_seeded,
             checkpoint_guard: Mutex::new(()),
         })
     }
@@ -659,25 +655,23 @@ impl DurableLedger {
         self.journal.health()
     }
 
-    /// Warm cache entries seeded into a registry so far, as
-    /// `(starting contexts, reference files)`.
-    pub fn warm_seeded(&self) -> (usize, usize) {
-        (self.warm_contexts_seeded.get() as usize, self.warm_references_seeded.get() as usize)
+    /// Starting contexts seeded into a registry so far.
+    pub fn warm_seeded(&self) -> usize {
+        self.warm_seeded.get() as usize
     }
 
-    /// Seeds `registry`'s caches from the checkpoint's warm state,
-    /// consuming it. Returns how many `(contexts, references)` were
-    /// accepted; entries for missing or changed datasets are dropped (see
+    /// Seeds `registry`'s starting-context cache from the checkpoint's warm
+    /// state, consuming it. Returns how many contexts were accepted;
+    /// entries for missing or changed datasets are dropped (see
     /// [`DatasetRegistry::seed_warm_state`]). Call after registering
     /// datasets.
-    pub fn seed_registry(&self, registry: &DatasetRegistry) -> (usize, usize) {
+    pub fn seed_registry(&self, registry: &DatasetRegistry) -> usize {
         let Some(warm) = self.warm.lock().expect("warm state poisoned").take() else {
-            return (0, 0);
+            return 0;
         };
-        let (contexts, references) = registry.seed_warm_state(warm);
-        self.warm_contexts_seeded.add(contexts as u64);
-        self.warm_references_seeded.add(references as u64);
-        (contexts, references)
+        let seeded = registry.seed_warm_state(warm);
+        self.warm_seeded.add(seeded as u64);
+        seeded
     }
 
     /// Writes a compaction checkpoint: account balances plus (when a
@@ -906,6 +900,59 @@ mod tests {
         assert_eq!(durable.report().dangling_refunded, 0);
         assert_eq!(durable.report().refunded_epsilon, 0.0);
         assert_eq!(durable.ledger().remaining("alice", "salary"), 1.0 - 0.4);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_checkpoint_with_a_retired_warm_cache_still_loads() {
+        use crate::registry::DatasetRegistry;
+        use pcor_data::{Attribute, Dataset, Record, Schema};
+        use pcor_outlier::DetectorKind;
+        // Record 0 is extreme inside its a0 cell.
+        let toy = || {
+            let values = [Attribute::from_values("A", &["a0", "a1"])];
+            let schema = Schema::new(values.to_vec(), "M").unwrap();
+            let mut records = vec![Record::new(vec![0], 900.0)];
+            records.extend((0..40).map(|i| Record::new(vec![i % 2], 100.0 + (i % 7) as f64)));
+            Dataset::new(schema, records).unwrap()
+        };
+        let detector = DetectorKind::ZScore;
+        let utility = pcor_dp::PopulationSizeUtility;
+        let reference =
+            pcor_core::enumerate_coe(&toy(), 0, detector.build().as_ref(), &utility, 22).unwrap();
+        let context = reference.entries[0].context.clone();
+        let dir = test_dir("old-warm");
+        {
+            let durable = open(&dir, 1.0);
+            let registry = DatasetRegistry::new();
+            registry.register("toy", toy());
+            registry.store_starting_context("toy", 0, detector, context.clone(), 5);
+            let warm = registry.export_warm_state();
+            // Checkpoints used to carry a second warm cache of whole
+            // `COE_M` enumerations under its own key; write one that way.
+            let old_entry = format!(
+                r#"{{"dataset":"toy","record_id":0,"detector":{},"reference":{},"cost":{}}}"#,
+                serde_json::to_string(&detector).unwrap(),
+                serde_json::to_string(&reference).unwrap(),
+                reference.contexts_examined,
+            );
+            durable
+                .ledger()
+                .write_checkpoint(|clock, _| {
+                    let checkpoint = LedgerCheckpoint { clock, accounts: Vec::new(), warm };
+                    let json = serde_json::to_string(&checkpoint).unwrap();
+                    let open = json.strip_suffix("}}").expect("warm is the last field");
+                    format!(r#"{open},"reference_files":[{old_entry}]}}}}"#).into_bytes()
+                })
+                .unwrap();
+        }
+        let durable = open(&dir, 1.0);
+        assert!(durable.report().from_checkpoint);
+        let restarted = DatasetRegistry::new();
+        restarted.register("toy", toy());
+        assert_eq!(durable.seed_registry(&restarted), 1);
+        assert_eq!(durable.warm_seeded(), 1);
+        assert_eq!(restarted.cached_starting_context("toy", 0, detector), Some(context));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -110,8 +110,7 @@ pub use durable::{BreakerState, DurableLedger, JournalHealth, RecoveryReport, Wa
 pub use ledger::{BudgetLedger, LedgerEntry, Reservation};
 pub use metrics::ServerMetricsSnapshot;
 pub use registry::{
-    CacheStats, DatasetEntry, DatasetRegistry, DatasetStats, WarmContext, WarmDataset,
-    WarmReference, WarmState,
+    CacheStats, DatasetEntry, DatasetRegistry, DatasetStats, WarmContext, WarmDataset, WarmState,
 };
 pub use request::{
     BatchItem, BatchItemResponse, BatchReleaseRequest, BatchReleaseResponse, ItemOutcome,

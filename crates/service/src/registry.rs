@@ -2,31 +2,25 @@
 //!
 //! Loading a dataset is cheap next to what the server derives from it per
 //! query: schema statistics (reported to analysts so they can form
-//! requests), the *verified starting context* `C_V` of a queried record
+//! requests) and the *verified starting context* `C_V` of a queried record
 //! (a breadth-first search over super-contexts with a detector evaluation
-//! at every step), and — costliest of all — the **reference file**
-//! (`COE_M` enumeration) a Direct-mode deployment needs per record, which
-//! examines every context covering the record. The registry memoizes all
-//! three: statistics once per dataset, starting contexts and reference
-//! files in cost-weighted (GreedyDual) LRUs keyed by
-//! `(dataset, record, detector)` shared by all workers. Reference files
-//! are weighted by the number of contexts their enumeration examined, so
-//! the expensive big-schema enumerations outlive cheap ones. Re-registering
-//! a dataset under an existing name drops both caches — the derived state
-//! is invalid for the new data.
+//! at every step). The registry memoizes both: statistics once per
+//! dataset, starting contexts in one cost-weighted (GreedyDual) LRU keyed
+//! by `(dataset, record, detector)` and shared by all workers. The serving
+//! path runs the search on its own release session and publishes the
+//! result here ([`DatasetRegistry::store_starting_context`]); later
+//! requests read it back ([`DatasetRegistry::cached_starting_context`]).
+//! Re-registering a dataset under an existing name drops the cache — the
+//! derived state is invalid for the new data.
 //!
-//! Caching either artifact is privacy-neutral: both are derived
-//! deterministically from the dataset and never released — `C_V` only
-//! seeds the private search and the reference file only scores candidates
-//! — so reuse changes neither the released distribution nor the OCDP
+//! Caching `C_V` is privacy-neutral: it is derived deterministically from
+//! the dataset and never released — it only seeds the private search — so
+//! reuse changes neither the released distribution nor the OCDP
 //! accounting.
 
 use crate::cache::LruCache;
 use crate::{Result, ServiceError};
-use pcor_core::starting::{find_starting_context, DEFAULT_SEARCH_BUDGET};
-use pcor_core::{enumerate_coe, ReferenceFile, Verifier};
 use pcor_data::{Context, Dataset};
-use pcor_dp::PopulationSizeUtility;
 use pcor_outlier::DetectorKind;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -35,10 +29,6 @@ use std::sync::{Arc, Mutex, RwLock};
 
 /// Default capacity of the starting-context LRU.
 pub const DEFAULT_STARTING_CONTEXT_CACHE: usize = 1024;
-
-/// Default capacity of the reference-file LRU (entries are whole `COE_M`
-/// enumerations, far heavier than a starting context).
-pub const DEFAULT_REFERENCE_FILE_CACHE: usize = 64;
 
 /// Memoized summary statistics of a registered dataset.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -110,58 +100,17 @@ impl DatasetEntry {
     }
 }
 
-/// Hit/miss counters of the registry's derived-state caches.
+/// Hit/miss counters of the registry's starting-context cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Starting-context lookups answered from the cache.
     pub hits: u64,
-    /// Starting-context lookups that ran the full search.
+    /// Starting contexts discovered and stored after a cache miss.
     pub misses: u64,
     /// Starting-context entries currently cached.
     pub len: usize,
-    /// Reference-file lookups answered from the cache.
-    pub reference_hits: u64,
-    /// Reference-file lookups that ran the full `COE_M` enumeration.
-    pub reference_misses: u64,
-    /// Reference files currently cached.
-    pub reference_len: usize,
     /// Starting-context entries evicted by the GreedyDual policy.
     pub evictions: u64,
-    /// Reference-file entries evicted by the GreedyDual policy.
-    pub reference_evictions: u64,
-    /// Current capacity of the starting-context LRU (autotuning may move
-    /// it between its configured baseline and 16× baseline per dataset).
-    pub capacity: usize,
-    /// Current capacity of the reference-file LRU.
-    pub reference_capacity: usize,
-}
-
-/// What one [`DatasetRegistry::autotune_caches`] pass decided, per cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheTuning {
-    /// Starting-context capacity before and after the pass.
-    pub starting: (usize, usize),
-    /// Reference-file capacity before and after the pass.
-    pub reference: (usize, usize),
-}
-
-impl CacheTuning {
-    /// Whether the pass changed either capacity.
-    pub fn changed(&self) -> bool {
-        self.starting.0 != self.starting.1 || self.reference.0 != self.reference.1
-    }
-}
-
-/// Counter baselines from the previous autotune pass, so each pass reasons
-/// about the *window* since the last one rather than all-time totals.
-#[derive(Debug, Default)]
-struct TuneWindow {
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    reference_hits: u64,
-    reference_misses: u64,
-    reference_evictions: u64,
 }
 
 type StartKey = (String, usize, DetectorKind);
@@ -181,21 +130,6 @@ pub struct WarmContext {
     pub cost: u64,
 }
 
-/// One exported reference-file cache entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WarmReference {
-    /// The dataset name the file was enumerated from.
-    pub dataset: String,
-    /// The queried record.
-    pub record_id: usize,
-    /// The detector the enumeration scored with.
-    pub detector: DetectorKind,
-    /// The full `COE_M` enumeration.
-    pub reference: ReferenceFile,
-    /// Its discovery cost (contexts the enumeration examined).
-    pub cost: u64,
-}
-
 /// The fingerprint a warm entry is validated against at seed time: derived
 /// state is only re-seeded for a dataset re-registered under the same name
 /// with identical summary statistics.
@@ -208,7 +142,7 @@ pub struct WarmDataset {
 }
 
 /// Serializable hot cache state for warm restarts: the GreedyDual entries
-/// of both derived-state caches, in ascending eviction order, plus the
+/// of the starting-context cache, in ascending eviction order, plus the
 /// dataset fingerprints they were derived from.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct WarmState {
@@ -216,37 +150,28 @@ pub struct WarmState {
     pub datasets: Vec<WarmDataset>,
     /// Starting-context entries, lowest eviction priority first.
     pub starting_contexts: Vec<WarmContext>,
-    /// Reference-file entries, lowest eviction priority first.
-    pub reference_files: Vec<WarmReference>,
 }
 
 impl WarmState {
     /// Whether there is nothing to seed.
     pub fn is_empty(&self) -> bool {
-        self.starting_contexts.is_empty() && self.reference_files.is_empty()
+        self.starting_contexts.is_empty()
     }
 }
 
-/// Thread-safe registry of named datasets with shared starting-context and
-/// reference-file caches.
+/// Thread-safe registry of named datasets with one shared starting-context
+/// cache.
+///
+/// Memory is bounded by the registered datasets plus at most
+/// [`DEFAULT_STARTING_CONTEXT_CACHE`] cached starting contexts (or the
+/// capacity given to [`DatasetRegistry::with_capacity`]), however many
+/// records, detectors or requests the server sees.
 pub struct DatasetRegistry {
     datasets: RwLock<HashMap<String, Arc<DatasetEntry>>>,
     starting_contexts: Mutex<LruCache<StartKey, Context>>,
-    reference_files: Mutex<LruCache<StartKey, Arc<ReferenceFile>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    reference_hits: AtomicU64,
-    reference_misses: AtomicU64,
     evictions: AtomicU64,
-    reference_evictions: AtomicU64,
-    search_budget: usize,
-    /// The configured baselines autotuning shrinks back toward.
-    base_capacity: usize,
-    base_reference_capacity: usize,
-    /// Requests served since the last autotune pass (gates
-    /// [`DatasetRegistry::maybe_autotune`]).
-    requests_since_tune: AtomicU64,
-    tune_window: Mutex<TuneWindow>,
 }
 
 impl Default for DatasetRegistry {
@@ -256,31 +181,20 @@ impl Default for DatasetRegistry {
 }
 
 impl DatasetRegistry {
-    /// Creates an empty registry with the default cache capacity and
-    /// starting-context search budget.
+    /// Creates an empty registry with the default cache capacity.
     pub fn new() -> Self {
         Self::with_capacity(DEFAULT_STARTING_CONTEXT_CACHE)
     }
 
     /// Creates an empty registry whose starting-context LRU holds at most
-    /// `cache_capacity` entries (the reference-file LRU stays at
-    /// [`DEFAULT_REFERENCE_FILE_CACHE`]).
+    /// `cache_capacity` entries.
     pub fn with_capacity(cache_capacity: usize) -> Self {
         DatasetRegistry {
             datasets: RwLock::new(HashMap::new()),
             starting_contexts: Mutex::new(LruCache::new(cache_capacity)),
-            reference_files: Mutex::new(LruCache::new(DEFAULT_REFERENCE_FILE_CACHE)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            reference_hits: AtomicU64::new(0),
-            reference_misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            reference_evictions: AtomicU64::new(0),
-            search_budget: DEFAULT_SEARCH_BUDGET,
-            base_capacity: cache_capacity,
-            base_reference_capacity: DEFAULT_REFERENCE_FILE_CACHE,
-            requests_since_tune: AtomicU64::new(0),
-            tune_window: Mutex::new(TuneWindow::default()),
         }
     }
 
@@ -299,10 +213,9 @@ impl DatasetRegistry {
         };
         if replaced {
             // Cached derived state for the old dataset is invalid; the
-            // caches are keyed by name, so the simplest sound policy is a
-            // full clear of both.
+            // cache is keyed by name, so the simplest sound policy is a
+            // full clear.
             self.starting_contexts.lock().expect("cache poisoned").clear();
-            self.reference_files.lock().expect("reference cache poisoned").clear();
         }
         entry
     }
@@ -338,55 +251,13 @@ impl DatasetRegistry {
         self.len() == 0
     }
 
-    /// Returns a verified starting context for `record_id` of `entry`'s
-    /// dataset under `detector`, serving repeats from the LRU. The boolean
-    /// is `true` on a cache hit.
-    ///
-    /// A freshly discovered context is cached at a weight equal to the
-    /// fresh `f_M` verification calls its search burned, so the
-    /// cost-weighted eviction keeps hard-won contexts over cheap ones.
-    ///
-    /// # Errors
-    /// Propagates [`ServiceError::Release`] when the record has no matching
-    /// context (it is not a contextual outlier for this detector).
-    pub fn starting_context(
-        &self,
-        entry: &DatasetEntry,
-        record_id: usize,
-        detector: DetectorKind,
-    ) -> Result<(Context, bool)> {
-        let key: StartKey = (entry.name.clone(), record_id, detector);
-        if let Some(context) = self.starting_contexts.lock().expect("cache poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((context.clone(), true));
-        }
-        // Search outside the cache lock: discovery can take milliseconds
-        // and other workers should keep hitting the cache meanwhile. Two
-        // workers may race on the same key; both compute the same
-        // deterministic context, so the double insert is harmless.
-        let built = detector.build();
-        let utility = PopulationSizeUtility;
-        let mut verifier = Verifier::new(entry.dataset(), built.as_ref(), &utility, record_id);
-        let context = find_starting_context(&mut verifier, self.search_budget)?;
-        let cost = verifier.calls() as u64;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let evicted = self.starting_contexts.lock().expect("cache poisoned").insert_with_cost(
-            key,
-            context.clone(),
-            cost,
-        );
-        if evicted.is_some() {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok((context, false))
-    }
-
     /// Peeks the starting-context cache without searching on a miss — the
-    /// batch path resolves misses on its own session verifier (so the
+    /// serving path resolves misses on its own session verifier (so the
     /// search's evaluations stay memoized for the releases that follow) and
     /// publishes the result back via
     /// [`store_starting_context`](DatasetRegistry::store_starting_context).
-    /// Counts a hit; the matching miss is counted at store time.
+    /// Counts a hit; the matching miss is counted at store time, so a
+    /// search that finds no context counts neither.
     pub fn cached_starting_context(
         &self,
         dataset: &str,
@@ -401,14 +272,13 @@ impl DatasetRegistry {
         cached
     }
 
-    /// Publishes an externally resolved starting context into the shared
-    /// cache (counted as one miss, mirroring the search path in
-    /// [`starting_context`](DatasetRegistry::starting_context)).
+    /// Publishes a freshly discovered starting context into the shared
+    /// cache, counted as one miss.
     ///
     /// `discovery_cost` is the number of fresh `f_M` verification calls the
-    /// external search burned finding the context; the cache weighs
-    /// eviction by it, so contexts that are cheap to rediscover evict
-    /// first. Pass the measured call delta (a zero is clamped to 1).
+    /// search burned finding the context; the cache weighs eviction by it,
+    /// so contexts that are cheap to rediscover evict first. Pass the
+    /// measured call delta (a zero is clamped to 1).
     pub fn store_starting_context(
         &self,
         dataset: &str,
@@ -429,64 +299,12 @@ impl DatasetRegistry {
         }
     }
 
-    /// The reference file (`COE_M` enumeration) of `record_id` of `entry`'s
-    /// dataset under `detector`, serving repeats from the shared LRU. The
-    /// boolean is `true` on a cache hit.
-    ///
-    /// This is the Direct-mode counterpart of
-    /// [`starting_context`](DatasetRegistry::starting_context): a deployment
-    /// answering Direct (Algorithm 1) queries — or normalizing released
-    /// utilities against the true best — re-enumerates the same record's
-    /// `COE_M` for every analyst without it. Entries are cached at a weight
-    /// equal to the contexts the enumeration examined, so GreedyDual
-    /// eviction keeps hard-won big-schema enumerations over cheap ones.
-    ///
-    /// # Errors
-    /// Propagates [`ServiceError::Release`] for enumeration failures (`t`
-    /// above `limit`, out-of-range ids).
-    pub fn reference_file(
-        &self,
-        entry: &DatasetEntry,
-        record_id: usize,
-        detector: DetectorKind,
-        limit: usize,
-    ) -> Result<(Arc<ReferenceFile>, bool)> {
-        let key: StartKey = (entry.name.clone(), record_id, detector);
-        if let Some(reference) =
-            self.reference_files.lock().expect("reference cache poisoned").get(&key)
-        {
-            self.reference_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((Arc::clone(reference), true));
-        }
-        // Enumerate outside the cache lock: a COE walk can take seconds and
-        // other workers should keep hitting the cache meanwhile. Racing
-        // workers compute the same deterministic file; the double insert is
-        // harmless.
-        let built = detector.build();
-        let utility = PopulationSizeUtility;
-        let reference = Arc::new(
-            enumerate_coe(entry.dataset(), record_id, built.as_ref(), &utility, limit)
-                .map_err(|e| ServiceError::Release(e.to_string()))?,
-        );
-        let cost = reference.contexts_examined as u64;
-        self.reference_misses.fetch_add(1, Ordering::Relaxed);
-        let evicted = self
-            .reference_files
-            .lock()
-            .expect("reference cache poisoned")
-            .insert_with_cost(key, Arc::clone(&reference), cost);
-        if evicted.is_some() {
-            self.reference_evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok((reference, false))
-    }
-
-    /// Exports the hot entries of both derived-state caches (plus the
-    /// fingerprints of the datasets they came from) for a warm restart.
+    /// Exports the hot starting-context entries (plus the fingerprints of
+    /// the datasets they came from) for a warm restart.
     ///
     /// Entries come out in ascending eviction order via
     /// [`LruCache::export_entries`], so seeding them back in order
-    /// reproduces the caches' relative protection.
+    /// reproduces the cache's relative protection.
     pub fn export_warm_state(&self) -> WarmState {
         let datasets: Vec<WarmDataset> = {
             let map = self.datasets.read().expect("registry poisoned");
@@ -511,25 +329,11 @@ impl DatasetRegistry {
                 cost,
             })
             .collect();
-        let reference_files = self
-            .reference_files
-            .lock()
-            .expect("reference cache poisoned")
-            .export_entries()
-            .into_iter()
-            .map(|((dataset, record_id, detector), reference, cost)| WarmReference {
-                dataset,
-                record_id,
-                detector,
-                reference: reference.as_ref().clone(),
-                cost,
-            })
-            .collect();
-        WarmState { datasets, starting_contexts, reference_files }
+        WarmState { datasets, starting_contexts }
     }
 
-    /// Seeds both caches from exported warm state, returning how many
-    /// `(starting contexts, reference files)` were accepted.
+    /// Seeds the starting-context cache from exported warm state, returning
+    /// how many entries were accepted.
     ///
     /// Only entries whose dataset is currently registered under the same
     /// name *with identical summary statistics* are seeded — derived state
@@ -537,7 +341,7 @@ impl DatasetRegistry {
     /// data pays fresh discovery, never serves stale contexts). Seeding
     /// counts neither hits nor misses; evictions forced by a smaller cache
     /// are counted as usual.
-    pub fn seed_warm_state(&self, warm: WarmState) -> (usize, usize) {
+    pub fn seed_warm_state(&self, warm: WarmState) -> usize {
         let eligible: HashMap<&str, bool> = {
             let map = self.datasets.read().expect("registry poisoned");
             warm.datasets
@@ -548,180 +352,31 @@ impl DatasetRegistry {
                 })
                 .collect()
         };
-        let mut contexts_seeded = 0;
-        {
-            let mut cache = self.starting_contexts.lock().expect("cache poisoned");
-            for entry in warm.starting_contexts {
-                if eligible.get(entry.dataset.as_str()).copied() != Some(true) {
-                    continue;
-                }
-                let key: StartKey = (entry.dataset, entry.record_id, entry.detector);
-                if cache.seed_entry(key, entry.context, entry.cost).is_some() {
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                contexts_seeded += 1;
+        let mut seeded = 0;
+        let mut cache = self.starting_contexts.lock().expect("cache poisoned");
+        for entry in warm.starting_contexts {
+            if eligible.get(entry.dataset.as_str()).copied() != Some(true) {
+                continue;
             }
-        }
-        let mut references_seeded = 0;
-        {
-            let mut cache = self.reference_files.lock().expect("reference cache poisoned");
-            for entry in warm.reference_files {
-                if eligible.get(entry.dataset.as_str()).copied() != Some(true) {
-                    continue;
-                }
-                let key: StartKey = (entry.dataset, entry.record_id, entry.detector);
-                if cache.seed_entry(key, Arc::new(entry.reference), entry.cost).is_some() {
-                    self.reference_evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                references_seeded += 1;
+            let key: StartKey = (entry.dataset, entry.record_id, entry.detector);
+            if cache.seed_entry(key, entry.context, entry.cost).is_some() {
+                self.evictions.fetch_add(1, Ordering::Relaxed);
             }
+            seeded += 1;
         }
-        (contexts_seeded, references_seeded)
+        seeded
     }
 
-    /// Hit/miss counters of the registry's derived-state caches.
+    /// Hit/miss counters of the starting-context cache.
     pub fn cache_stats(&self) -> CacheStats {
-        // One lock per cache: a guard born inside the struct literal would
-        // live to the end of the whole expression and deadlock a second
-        // lock of the same cache.
-        let (len, capacity) = {
-            let cache = self.starting_contexts.lock().expect("cache poisoned");
-            (cache.len(), cache.capacity())
-        };
-        let (reference_len, reference_capacity) = {
-            let cache = self.reference_files.lock().expect("reference cache poisoned");
-            (cache.len(), cache.capacity())
-        };
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            len,
-            reference_hits: self.reference_hits.load(Ordering::Relaxed),
-            reference_misses: self.reference_misses.load(Ordering::Relaxed),
-            reference_len,
+            len: self.starting_contexts.lock().expect("cache poisoned").len(),
             evictions: self.evictions.load(Ordering::Relaxed),
-            reference_evictions: self.reference_evictions.load(Ordering::Relaxed),
-            capacity,
-            reference_capacity,
         }
-    }
-
-    /// Counts one served request toward the autotune interval and runs
-    /// [`autotune_caches`](DatasetRegistry::autotune_caches) once every
-    /// [`AUTOTUNE_INTERVAL`] requests — the serving path calls this after
-    /// each reply, off the client's latency path.
-    pub fn maybe_autotune(&self) -> Option<CacheTuning> {
-        let served = self.requests_since_tune.fetch_add(1, Ordering::Relaxed) + 1;
-        if !served.is_multiple_of(AUTOTUNE_INTERVAL) {
-            return None;
-        }
-        Some(self.autotune_caches())
-    }
-
-    /// Re-sizes both derived-state caches from their own hit/eviction
-    /// counters. The heuristic, applied independently per cache over the
-    /// *window* since the previous pass:
-    ///
-    /// - **Grow ×2** when the cache evicted during the window *and* its
-    ///   window hit rate was at least 50%: evictions while the cache earns
-    ///   its keep mean the working set is larger than the capacity, so
-    ///   every eviction is a future re-discovery the server will pay for.
-    ///   Growth is capped at 16× the per-dataset baseline (the configured
-    ///   capacity × the number of registered datasets) so a scan-heavy
-    ///   workload cannot balloon memory for entries it never revisits.
-    /// - **Shrink ×½** (floored at the configured baseline) when nothing
-    ///   evicted *and* occupancy is below ¼ of capacity: the working set
-    ///   fits with a wide margin and the memory can go back.
-    /// - **Hold** otherwise — in particular under eviction pressure with a
-    ///   poor hit rate, where a bigger cache would only buffer entries
-    ///   nobody asks for twice.
-    ///
-    /// Shrinking evicts the lowest-priority (cheapest-to-rediscover)
-    /// entries via [`LruCache::set_capacity`]; those evictions are counted
-    /// like any other. Returns what changed, for logs and tests.
-    pub fn autotune_caches(&self) -> CacheTuning {
-        let datasets = self.len().max(1);
-        let mut window = self.tune_window.lock().expect("tune window poisoned");
-        let (hits, misses) =
-            (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed));
-        let evictions = self.evictions.load(Ordering::Relaxed);
-        let starting = {
-            let mut cache = self.starting_contexts.lock().expect("cache poisoned");
-            let next = Self::tuned_capacity(
-                cache.capacity(),
-                cache.len(),
-                self.base_capacity,
-                self.base_capacity.saturating_mul(16).saturating_mul(datasets),
-                hits - window.hits,
-                misses - window.misses,
-                evictions - window.evictions,
-            );
-            let before = cache.capacity();
-            if next != before {
-                let evicted = cache.set_capacity(next);
-                self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
-            }
-            (before, next)
-        };
-        let (reference_hits, reference_misses) = (
-            self.reference_hits.load(Ordering::Relaxed),
-            self.reference_misses.load(Ordering::Relaxed),
-        );
-        let reference_evictions = self.reference_evictions.load(Ordering::Relaxed);
-        let reference = {
-            let mut cache = self.reference_files.lock().expect("reference cache poisoned");
-            let next = Self::tuned_capacity(
-                cache.capacity(),
-                cache.len(),
-                self.base_reference_capacity,
-                self.base_reference_capacity.saturating_mul(16).saturating_mul(datasets),
-                reference_hits - window.reference_hits,
-                reference_misses - window.reference_misses,
-                reference_evictions - window.reference_evictions,
-            );
-            let before = cache.capacity();
-            if next != before {
-                let evicted = cache.set_capacity(next);
-                self.reference_evictions.fetch_add(evicted as u64, Ordering::Relaxed);
-            }
-            (before, next)
-        };
-        *window = TuneWindow {
-            hits,
-            misses,
-            evictions: self.evictions.load(Ordering::Relaxed),
-            reference_hits,
-            reference_misses,
-            reference_evictions: self.reference_evictions.load(Ordering::Relaxed),
-        };
-        CacheTuning { starting, reference }
-    }
-
-    /// The pure decision function behind
-    /// [`autotune_caches`](DatasetRegistry::autotune_caches).
-    fn tuned_capacity(
-        capacity: usize,
-        len: usize,
-        floor: usize,
-        ceiling: usize,
-        hits: u64,
-        misses: u64,
-        evictions: u64,
-    ) -> usize {
-        let lookups = hits + misses;
-        let hit_rate = if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 };
-        if evictions > 0 && hit_rate >= 0.5 {
-            return capacity.saturating_mul(2).min(ceiling.max(floor));
-        }
-        if evictions == 0 && len < capacity / 4 && capacity > floor {
-            return (capacity / 2).max(floor);
-        }
-        capacity
     }
 }
-
-/// Requests between two [`DatasetRegistry::maybe_autotune`] passes.
-pub const AUTOTUNE_INTERVAL: u64 = 256;
 
 impl std::fmt::Debug for DatasetRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -735,7 +390,9 @@ impl std::fmt::Debug for DatasetRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcor_core::ReleaseSession;
     use pcor_data::{Attribute, Record, Schema};
+    use pcor_dp::PopulationSizeUtility;
 
     /// A dataset where record 0 is extreme inside its own (a0, b0) cell.
     fn toy_dataset() -> Dataset {
@@ -755,6 +412,23 @@ mod tests {
             ));
         }
         Dataset::new(schema, records).unwrap()
+    }
+
+    /// Runs the serving path's search for record 0's starting context:
+    /// the context and the fresh `f_M` calls it burned.
+    fn discover(dataset: &Dataset) -> (Context, u64) {
+        let detector = DetectorKind::ZScore.build();
+        let utility = PopulationSizeUtility;
+        let mut session = ReleaseSession::builder(dataset, detector.as_ref(), &utility).build();
+        let context = session.resolve_starting_context(0).unwrap();
+        (context, session.stats().verification_calls as u64)
+    }
+
+    /// Stores record 0's discovered starting context under "toy".
+    fn store_discovered(registry: &DatasetRegistry, entry: &DatasetEntry) -> Context {
+        let (context, cost) = discover(entry.dataset());
+        registry.store_starting_context("toy", 0, DetectorKind::ZScore, context.clone(), cost);
+        context
     }
 
     #[test]
@@ -784,72 +458,39 @@ mod tests {
     fn starting_contexts_hit_on_repeat_lookups() {
         let registry = DatasetRegistry::new();
         let entry = registry.register("toy", toy_dataset());
-        let (first, hit1) = registry.starting_context(&entry, 0, DetectorKind::ZScore).unwrap();
-        assert!(!hit1, "first lookup must miss");
-        let (second, hit2) = registry.starting_context(&entry, 0, DetectorKind::ZScore).unwrap();
-        assert!(hit2, "second lookup must hit");
+        assert_eq!(registry.cached_starting_context("toy", 0, DetectorKind::ZScore), None);
+        let stored = store_discovered(&registry, &entry);
+        let first = registry.cached_starting_context("toy", 0, DetectorKind::ZScore);
+        let second = registry.cached_starting_context("toy", 0, DetectorKind::ZScore);
+        assert_eq!(first.as_ref(), Some(&stored), "a stored context must hit");
         assert_eq!(first, second);
         let stats = registry.cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.len), (1, 1, 1));
+        assert_eq!((stats.hits, stats.misses, stats.len), (2, 1, 1));
         // A different detector is a different key.
-        let _ = registry.starting_context(&entry, 0, DetectorKind::Iqr);
-        assert!(registry.cache_stats().misses >= 2 || registry.cache_stats().len == 1);
-    }
-
-    #[test]
-    fn non_outliers_are_reported_without_caching() {
-        let registry = DatasetRegistry::new();
-        let entry = registry.register("toy", toy_dataset());
-        // Record 1 sits in the bulk of its cell: no matching context.
-        let result = registry.starting_context(&entry, 1, DetectorKind::ZScore);
-        assert!(matches!(result, Err(ServiceError::Release(_))));
-        assert_eq!(registry.cache_stats().len, 0);
+        assert_eq!(registry.cached_starting_context("toy", 0, DetectorKind::Iqr), None);
+        assert_eq!(registry.cache_stats().hits, 2, "a peek that misses counts nothing");
     }
 
     #[test]
     fn replacing_a_dataset_clears_both_caches() {
         let registry = DatasetRegistry::new();
         let entry = registry.register("toy", toy_dataset());
-        registry.starting_context(&entry, 0, DetectorKind::ZScore).unwrap();
-        registry.reference_file(&entry, 0, DetectorKind::ZScore, 22).unwrap();
-        let stats = registry.cache_stats();
-        assert_eq!(stats.len, 1);
-        assert_eq!(stats.reference_len, 1);
+        store_discovered(&registry, &entry);
+        assert_eq!(registry.cache_stats().len, 1);
         registry.register("toy", toy_dataset());
-        let stats = registry.cache_stats();
-        assert_eq!(stats.len, 0, "stale starting contexts must not survive re-registration");
-        assert_eq!(stats.reference_len, 0, "stale reference files must not survive");
-    }
-
-    #[test]
-    fn reference_files_hit_on_repeat_lookups_and_agree_with_enumeration() {
-        let registry = DatasetRegistry::new();
-        let entry = registry.register("toy", toy_dataset());
-        let (first, hit1) = registry.reference_file(&entry, 0, DetectorKind::ZScore, 22).unwrap();
-        assert!(!hit1, "first lookup must enumerate");
-        assert!(!first.is_empty(), "record 0 is a planted outlier");
-        let (second, hit2) = registry.reference_file(&entry, 0, DetectorKind::ZScore, 22).unwrap();
-        assert!(hit2, "second lookup must hit");
-        assert!(Arc::ptr_eq(&first, &second), "hits must share the cached allocation");
-        let stats = registry.cache_stats();
-        assert_eq!((stats.reference_hits, stats.reference_misses, stats.reference_len), (1, 1, 1));
-        // The cached file is the canonical enumeration.
-        let utility = PopulationSizeUtility;
-        let direct =
-            enumerate_coe(entry.dataset(), 0, DetectorKind::ZScore.build().as_ref(), &utility, 22)
-                .unwrap();
-        assert_eq!(first.context_set(), direct.context_set());
-        assert_eq!(first.max_utility, direct.max_utility);
-        // A different detector is a different key.
-        registry.reference_file(&entry, 0, DetectorKind::Iqr, 22).unwrap();
-        assert_eq!(registry.cache_stats().reference_len, 2);
+        assert_eq!(
+            registry.cache_stats().len,
+            0,
+            "stale starting contexts must not survive re-registration"
+        );
+        assert_eq!(registry.cached_starting_context("toy", 0, DetectorKind::ZScore), None);
     }
 
     #[test]
     fn greedy_dual_evictions_are_counted() {
         let registry = DatasetRegistry::with_capacity(1);
         let entry = registry.register("toy", toy_dataset());
-        let (context, _) = registry.starting_context(&entry, 0, DetectorKind::ZScore).unwrap();
+        let context = store_discovered(&registry, &entry);
         assert_eq!(registry.cache_stats().evictions, 0);
         // A second key against a capacity-1 LRU must evict the first.
         registry.store_starting_context("toy", 1, DetectorKind::ZScore, context.clone(), 1);
@@ -857,149 +498,48 @@ mod tests {
         // Replacing an existing key is an update, not an eviction.
         registry.store_starting_context("toy", 1, DetectorKind::ZScore, context, 2);
         let stats = registry.cache_stats();
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.reference_evictions, 0);
+        assert_eq!((stats.evictions, stats.len), (1, 1));
     }
 
     #[test]
     fn warm_state_round_trips_into_cache_hits() {
         let registry = DatasetRegistry::new();
         let entry = registry.register("toy", toy_dataset());
-        registry.starting_context(&entry, 0, DetectorKind::ZScore).unwrap();
-        registry.reference_file(&entry, 0, DetectorKind::ZScore, 22).unwrap();
+        store_discovered(&registry, &entry);
         let warm = registry.export_warm_state();
         assert_eq!(warm.datasets.len(), 1);
         assert_eq!(warm.starting_contexts.len(), 1);
-        assert_eq!(warm.reference_files.len(), 1);
         assert!(warm.starting_contexts[0].cost >= 1, "discovery cost travels with the entry");
 
         // A "restarted" registry with the same dataset accepts the seed…
         let restarted = DatasetRegistry::new();
         restarted.register("toy", toy_dataset());
-        let (contexts, references) = restarted.seed_warm_state(warm.clone());
-        assert_eq!((contexts, references), (1, 1));
-        // …and the first lookups are hits that agree with fresh discovery.
-        let entry = restarted.get("toy").unwrap();
-        let (context, hit) = restarted.starting_context(&entry, 0, DetectorKind::ZScore).unwrap();
-        assert!(hit, "a seeded context must hit on first lookup");
-        assert_eq!(context, warm.starting_contexts[0].context);
-        let (reference, hit) =
-            restarted.reference_file(&entry, 0, DetectorKind::ZScore, 22).unwrap();
-        assert!(hit, "a seeded reference file must hit on first lookup");
-        assert_eq!(reference.as_ref(), &warm.reference_files[0].reference);
+        assert_eq!(restarted.seed_warm_state(warm.clone()), 1);
+        // …and the first lookup is a hit that agrees with fresh discovery.
+        let context = restarted.cached_starting_context("toy", 0, DetectorKind::ZScore);
+        assert_eq!(context.as_ref(), Some(&warm.starting_contexts[0].context));
+        assert_eq!(context, Some(discover(&toy_dataset()).0));
+        let stats = restarted.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 0), "seeding counts neither");
     }
 
     #[test]
     fn warm_state_for_changed_or_missing_datasets_is_dropped() {
         let registry = DatasetRegistry::new();
         let entry = registry.register("toy", toy_dataset());
-        registry.starting_context(&entry, 0, DetectorKind::ZScore).unwrap();
+        store_discovered(&registry, &entry);
         let warm = registry.export_warm_state();
 
         // Missing dataset: nothing to validate against.
         let empty = DatasetRegistry::new();
-        assert_eq!(empty.seed_warm_state(warm.clone()), (0, 0));
+        assert_eq!(empty.seed_warm_state(warm.clone()), 0);
 
         // Same name, different data: the fingerprint mismatch drops it.
         let changed = DatasetRegistry::new();
         let schema = Schema::new(vec![Attribute::from_values("A", &["a0", "a1"])], "M").unwrap();
         let records = vec![Record::new(vec![0], 1.0), Record::new(vec![1], 2.0)];
         changed.register("toy", Dataset::new(schema, records).unwrap());
-        assert_eq!(changed.seed_warm_state(warm), (0, 0));
+        assert_eq!(changed.seed_warm_state(warm), 0);
         assert_eq!(changed.cache_stats().len, 0);
-    }
-
-    #[test]
-    fn autotune_grows_under_eviction_pressure_with_a_good_hit_rate() {
-        let registry = DatasetRegistry::with_capacity(2);
-        let entry = registry.register("toy", toy_dataset());
-        let (context, _) = registry.starting_context(&entry, 0, DetectorKind::ZScore).unwrap();
-        // Build a window with a ≥50% hit rate and at least one eviction:
-        // lots of hits on the resident key, then inserts that overflow the
-        // capacity-2 cache.
-        for _ in 0..10 {
-            registry.starting_context(&entry, 0, DetectorKind::ZScore).unwrap();
-        }
-        for record in 1..4 {
-            registry.store_starting_context(
-                "toy",
-                record,
-                DetectorKind::ZScore,
-                context.clone(),
-                1,
-            );
-        }
-        assert!(registry.cache_stats().evictions > 0);
-        let tuning = registry.autotune_caches();
-        assert_eq!(tuning.starting, (2, 4), "eviction pressure + hits must double the cache");
-        assert!(tuning.changed());
-        assert_eq!(registry.cache_stats().capacity, 4);
-        // The reference cache saw no traffic: it must hold.
-        assert_eq!(tuning.reference.0, tuning.reference.1);
-        // A quiet follow-up window holds the grown capacity (len is not
-        // below a quarter of capacity).
-        let tuning = registry.autotune_caches();
-        assert!(!tuning.changed(), "a quiet window must not oscillate, got {tuning:?}");
-    }
-
-    #[test]
-    fn autotune_shrinks_idle_oversized_caches_back_to_the_baseline() {
-        let registry = DatasetRegistry::with_capacity(64);
-        let entry = registry.register("toy", toy_dataset());
-        // One resident entry in a 64-slot cache: under ¼ occupancy with no
-        // evictions, the capacity halves per pass but never drops below
-        // the configured baseline… which is 64, so first verify the floor.
-        registry.starting_context(&entry, 0, DetectorKind::ZScore).unwrap();
-        let tuning = registry.autotune_caches();
-        assert_eq!(tuning.starting, (64, 64), "a cache at its baseline never shrinks below it");
-
-        // Grow it artificially, then let idleness shrink it back.
-        {
-            let registry = DatasetRegistry::with_capacity(8);
-            let entry = registry.register("toy", toy_dataset());
-            let (context, _) = registry.starting_context(&entry, 0, DetectorKind::ZScore).unwrap();
-            for _ in 0..10 {
-                registry.starting_context(&entry, 0, DetectorKind::ZScore).unwrap();
-            }
-            for record in 1..10 {
-                registry.store_starting_context(
-                    "toy",
-                    record,
-                    DetectorKind::ZScore,
-                    context.clone(),
-                    1,
-                );
-            }
-            let grown = registry.autotune_caches();
-            assert_eq!(grown.starting, (8, 16));
-            // Drain the cache below a quarter of the grown capacity (a
-            // re-registration clears it), then run quiet passes.
-            registry.register("toy", toy_dataset());
-            let shrunk = registry.autotune_caches();
-            assert_eq!(shrunk.starting, (16, 8), "an idle window must halve toward the baseline");
-            let held = registry.autotune_caches();
-            assert_eq!(held.starting, (8, 8), "the baseline is the floor");
-        }
-    }
-
-    #[test]
-    fn maybe_autotune_gates_on_the_request_interval() {
-        let registry = DatasetRegistry::with_capacity(4);
-        registry.register("toy", toy_dataset());
-        for _ in 0..AUTOTUNE_INTERVAL - 1 {
-            assert!(registry.maybe_autotune().is_none());
-        }
-        assert!(registry.maybe_autotune().is_some(), "the interval-th request must tune");
-        assert!(registry.maybe_autotune().is_none(), "the counter must reset");
-    }
-
-    #[test]
-    fn reference_file_failures_are_reported_without_caching() {
-        let registry = DatasetRegistry::new();
-        let entry = registry.register("toy", toy_dataset());
-        // An enumeration limit below t = 4 must refuse, not cache.
-        let result = registry.reference_file(&entry, 0, DetectorKind::ZScore, 2);
-        assert!(matches!(result, Err(ServiceError::Release(_))));
-        assert_eq!(registry.cache_stats().reference_len, 0);
     }
 }

@@ -492,8 +492,8 @@ impl Server {
         // bundle's audit log and refreshes the per-account gauges.
         ledger.attach_telemetry(telemetry.clone());
         // The serving path counts straight into the bundle's registry; only
-        // the pool's and the dataset caches' own counters are copied in, by
-        // a collector at each scrape.
+        // the pool's and the starting-context cache's own counters are
+        // copied in, by a collector at each scrape.
         let metrics = Arc::new(ServerMetrics::register(telemetry.registry()));
         {
             let pool = Arc::clone(&pool);
@@ -534,7 +534,7 @@ impl Server {
 
     /// Starts a server whose budget ledger is the given crash-safe
     /// [`DurableLedger`]: every ε decision is journaled to the WAL before
-    /// acknowledgement, the registry's caches are seeded from the
+    /// acknowledgement, the registry's cache is seeded from the
     /// checkpoint's warm state (register datasets *before* this call), the
     /// WAL auto-compacts after requests once `checkpoint_interval` records
     /// accumulate, and [`Server::shutdown`] writes one final checkpoint so
@@ -549,8 +549,8 @@ impl Server {
         registry: Arc<DatasetRegistry>,
         durable: Arc<DurableLedger>,
     ) -> Self {
-        // Warm restart: re-seed the starting-context and reference-file
-        // caches before the first request can miss on them.
+        // Warm restart: re-seed the starting-context cache before the
+        // first request can miss on it.
         durable.seed_registry(&registry);
         let ledger = Arc::new(durable.ledger().clone());
         let mut server = Self::start(config, registry, ledger);
@@ -569,9 +569,9 @@ impl Server {
         server
     }
 
-    /// Copies the pool's and the dataset caches' own counters into gauges at
-    /// scrape time (the collector registered in [`Server::start`]):
-    /// the serving path does not see them change.
+    /// Copies the pool's and the starting-context cache's own counters into
+    /// gauges at scrape time (the collector registered in
+    /// [`Server::start`]): the serving path does not see them change.
     fn publish_stats(exporter: &MetricsRegistry, pool: &PoolStats, cache: &CacheStats) {
         exporter.set_help("pcor_cache_evictions", "Entries evicted by the GreedyDual policy.");
         let set = |name: &str, value: f64| exporter.gauge(name, &[]).set(value);
@@ -582,15 +582,13 @@ impl Server {
         set("pcor_pool_tasks_stolen", pool.tasks_stolen as f64);
         set("pcor_pool_tasks_panicked", pool.tasks_panicked as f64);
         set("pcor_pool_worker_parks", pool.worker_parks as f64);
-        for (name, starting, reference) in [
-            ("pcor_cache_hits", cache.hits, cache.reference_hits),
-            ("pcor_cache_misses", cache.misses, cache.reference_misses),
-            ("pcor_cache_entries", cache.len as u64, cache.reference_len as u64),
-            ("pcor_cache_evictions", cache.evictions, cache.reference_evictions),
-            ("pcor_cache_capacity", cache.capacity as u64, cache.reference_capacity as u64),
+        for (name, value) in [
+            ("pcor_cache_hits", cache.hits),
+            ("pcor_cache_misses", cache.misses),
+            ("pcor_cache_entries", cache.len as u64),
+            ("pcor_cache_evictions", cache.evictions),
         ] {
-            exporter.gauge(name, &[("cache", "starting_context")]).set(starting as f64);
-            exporter.gauge(name, &[("cache", "reference_file")]).set(reference as f64);
+            exporter.gauge(name, &[("cache", "starting_context")]).set(value as f64);
         }
     }
 
@@ -849,7 +847,7 @@ impl Server {
         let was_accepting = self.accepting.swap(false, Ordering::AcqRel);
         self.inflight.drain();
         // One final compaction after the drain, so the next start replays a
-        // checkpoint plus an empty tail and re-seeds its caches warm. Only
+        // checkpoint plus an empty tail and re-seeds its cache warm. Only
         // the shutdown that actually closed the doors writes it; a failure
         // here merely leaves a longer (still valid) log for replay.
         if was_accepting {
@@ -947,10 +945,6 @@ impl Task {
         if let Some(durable) = &self.durable {
             let _ = durable.maybe_checkpoint(Some(&self.registry));
         }
-        // Cache-capacity autotuning rides here too: every
-        // AUTOTUNE_INTERVAL-th request re-sizes the derived-state caches
-        // from their own hit/eviction counters.
-        let _ = self.registry.maybe_autotune();
     }
 
     /// Serves one validated envelope on the calling pool worker, a single
@@ -1480,6 +1474,26 @@ mod tests {
         let single = server.execute(toy_request("bob", 1)).unwrap();
         let batch_guarantee = response.items[0].outcome.released().unwrap().guarantee;
         assert_eq!(batch_guarantee.epsilon, single.guarantee.epsilon);
+    }
+
+    #[test]
+    fn failed_starting_context_searches_are_not_cached() {
+        let server = toy_server(10.0, 1);
+        let registry = server.registry();
+        // Record 1 is not a contextual outlier: its search fails, and the
+        // cache neither stores nor counts it.
+        let response = server.execute_batch(toy_batch("alice", &[1])).unwrap();
+        assert_eq!(response.failed(), 1);
+        let stats = registry.cache_stats();
+        assert_eq!((stats.len, stats.misses), (0, 0));
+        // Beside a released item, only the released record's context is
+        // stored.
+        let response = server.execute_batch(toy_batch("alice", &[1, 0])).unwrap();
+        assert_eq!((response.released(), response.failed()), (1, 1));
+        let stats = registry.cache_stats();
+        assert_eq!((stats.len, stats.misses, stats.hits), (1, 1, 0));
+        assert!(registry.cached_starting_context("toy", 1, DetectorKind::ZScore).is_none());
+        assert!(registry.cached_starting_context("toy", 0, DetectorKind::ZScore).is_some());
     }
 
     #[test]

@@ -92,11 +92,11 @@ fn main() {
     );
 
     // --- 2. Partial failure: one item queries a non-outlier record. ------
+    let detector = DetectorKind::ZScore.build();
+    let utility = PopulationSizeUtility;
+    let mut session = ReleaseSession::builder(entry.dataset(), detector.as_ref(), &utility).build();
     let non_outlier = (0..entry.dataset().len())
-        .find(|&id| {
-            !mix.contains(&id)
-                && registry.starting_context(&entry, id, DetectorKind::ZScore).is_err()
-        })
+        .find(|&id| !mix.contains(&id) && session.resolve_starting_context(id).is_err())
         .expect("most records are not contextual outliers");
     let mixed = BatchReleaseRequest::new("blair", "salary")
         .with_detector(DetectorKind::ZScore)

@@ -113,8 +113,7 @@ fn main() {
         registry,
         Arc::clone(&durable),
     );
-    let (contexts, references) = durable.warm_seeded();
-    println!("gen-2 warm caches: {contexts} starting contexts, {references} reference files");
+    println!("gen-2 warm cache: {} starting contexts", durable.warm_seeded());
 
     // The budget gauges must be identical across the restart: committed ε
     // is permanent, refunded ε is back, nothing is leaked either way.

@@ -192,11 +192,11 @@ fn a_single_release_is_a_one_item_batch() {
 fn failed_batch_items_refund_their_epsilon_slice() {
     let (server, registry, ledger, records) = salary_server(1.0, 1);
     let entry = registry.get("salary").unwrap();
+    let detector = DetectorKind::ZScore.build();
+    let utility = PopulationSizeUtility;
+    let mut session = ReleaseSession::builder(entry.dataset(), detector.as_ref(), &utility).build();
     let non_outlier = (0..entry.dataset().len())
-        .find(|&id| {
-            !records.contains(&id)
-                && registry.starting_context(&entry, id, DetectorKind::ZScore).is_err()
-        })
+        .find(|&id| !records.contains(&id) && session.resolve_starting_context(id).is_err())
         .expect("most records are not contextual outliers");
 
     let batch = BatchReleaseRequest::new("alice", "salary")

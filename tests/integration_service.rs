@@ -134,10 +134,11 @@ fn failed_releases_do_not_burn_budget() {
     // Find a record that is NOT serviceable: ask for a starting context for
     // records until one fails.
     let entry = registry.get("salary").unwrap();
+    let detector = DetectorKind::ZScore.build();
+    let utility = PopulationSizeUtility;
+    let mut session = ReleaseSession::builder(entry.dataset(), detector.as_ref(), &utility).build();
     let non_outlier = (0..entry.dataset().len())
-        .find(|&id| {
-            id != record && registry.starting_context(&entry, id, DetectorKind::ZScore).is_err()
-        })
+        .find(|&id| id != record && session.resolve_starting_context(id).is_err())
         .expect("most records are not contextual outliers");
     assert!(matches!(
         server.execute(request("alice", non_outlier, 5)),
